@@ -8,14 +8,15 @@
 //! feed the DMU. `mp-fpga` attaches timing and memory models to this
 //! structure; here it executes functionally, bit-exactly.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-use mp_obs::{now_ns, Recorder};
+use mp_obs::Recorder;
 use mp_tensor::{Parallelism, Shape, ShapeError, Tensor};
 
 use crate::bits::{BitMatrix, BitVec};
 use crate::classifier::{BnnClassifier, Stage};
-use crate::{EngineSpec, FinnTopology};
+use crate::packed::{BlockScratch, PackedNet};
+use crate::{EngineKind, EngineSpec, FinnTopology};
 
 /// Fixed-point scale of the first engine's pixel inputs (Q2.6: range ±2,
 /// 1/64 resolution — the paper's first stage uses wider 24-bit threshold
@@ -124,7 +125,7 @@ pub struct StageSummary {
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-enum HwStage {
+pub(crate) enum HwStage {
     /// First engine: fixed-point pixels × binary weights.
     FirstConv {
         weights: BitMatrix,
@@ -167,10 +168,110 @@ enum HwStage {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The canonical stages are what serialises and what the per-image
+/// reference path ([`Self::infer_image`]) reads; the batched paths run
+/// the channel-packed engine derived from them at load (see
+/// `packed.rs`). Deserialising checks the model and rejects a malformed
+/// one with a [`ModelError`].
+#[derive(Debug, Clone)]
 pub struct HardwareBnn {
     topology: FinnTopology,
     stages: Vec<HwStage>,
+    engine: PackedNet,
+}
+
+/// Why a hardware model failed its load-time checks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ModelError {
+    /// The model has no engines.
+    NoStages,
+    /// The fixed-point first convolution is not (only) the first engine.
+    FirstConvNotFirst {
+        /// The offending engine position.
+        stage: usize,
+    },
+    /// The accumulate-only output engine is not (only) the last engine.
+    OutputNotLast {
+        /// The offending engine position.
+        stage: usize,
+    },
+    /// An engine has a different number of thresholds than weight rows.
+    ThresholdCount {
+        /// Engine position.
+        stage: usize,
+        /// Thresholds found.
+        thresholds: usize,
+        /// Weight rows (output channels).
+        rows: usize,
+    },
+    /// An engine's weight columns differ from the topology's fan-in.
+    FanIn {
+        /// Engine position.
+        stage: usize,
+        /// Weight columns found.
+        cols: usize,
+        /// `K·K·ID` (conv) or `ID` (FC) of the topology's engine.
+        expected: usize,
+    },
+    /// The engines do not match the topology in number, kind or shape,
+    /// or the topology itself is unusable.
+    Topology {
+        /// What differs.
+        reason: String,
+    },
+}
+
+impl std::fmt::Display for ModelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NoStages => write!(f, "hardware model has no engines"),
+            Self::FirstConvNotFirst { stage } => write!(
+                f,
+                "engine {stage}: the fixed-point first conv must be engine 0 and only engine 0"
+            ),
+            Self::OutputNotLast { stage } => write!(
+                f,
+                "engine {stage}: the output engine must be the last engine and only the last"
+            ),
+            Self::ThresholdCount {
+                stage,
+                thresholds,
+                rows,
+            } => write!(
+                f,
+                "engine {stage}: {thresholds} thresholds for {rows} weight rows"
+            ),
+            Self::FanIn {
+                stage,
+                cols,
+                expected,
+            } => write!(
+                f,
+                "engine {stage}: {cols} weight columns, but the topology's fan-in is {expected}"
+            ),
+            Self::Topology { reason } => write!(f, "engines do not match the topology: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for ModelError {}
+
+impl Serialize for HardwareBnn {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("topology".to_string(), self.topology.to_value()),
+            ("stages".to_string(), self.stages.to_value()),
+        ])
+    }
+}
+
+impl<'de> Deserialize<'de> for HardwareBnn {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let topology = FinnTopology::from_value(value.get_field("topology")?)?;
+        let stages = Vec::<HwStage>::from_value(value.get_field("stages")?)?;
+        Self::from_parts(topology, stages).map_err(serde::Error::custom)
+    }
 }
 
 impl HardwareBnn {
@@ -254,9 +355,66 @@ impl HardwareBnn {
                 Stage::Flatten { .. } => {}
             }
         }
+        Self::from_parts(classifier.topology().clone(), stages)
+            .map_err(|e| ShapeError::new("HardwareBnn::from_classifier", e.to_string()))
+    }
+
+    /// Checks `stages` against `topology` and derives the packed engine.
+    /// Every invariant the inference paths rely on is established here,
+    /// once, so neither the per-image reference nor the packed engine
+    /// can panic on a model that loaded.
+    fn from_parts(topology: FinnTopology, stages: Vec<HwStage>) -> Result<Self, ModelError> {
+        let last = stages.len().checked_sub(1).ok_or(ModelError::NoStages)?;
+        for (i, stage) in stages.iter().enumerate() {
+            match stage {
+                HwStage::FirstConv { .. } if i != 0 => {
+                    return Err(ModelError::FirstConvNotFirst { stage: i })
+                }
+                HwStage::OutputFc { .. } if i != last => {
+                    return Err(ModelError::OutputNotLast { stage: i })
+                }
+                _ => {}
+            }
+        }
+        if !matches!(stages[0], HwStage::FirstConv { .. }) {
+            return Err(ModelError::FirstConvNotFirst { stage: 0 });
+        }
+        if !matches!(stages[last], HwStage::OutputFc { .. }) {
+            return Err(ModelError::OutputNotLast { stage: last });
+        }
+        let engines = topology
+            .try_engines()
+            .map_err(|reason| ModelError::Topology { reason })?;
+        if engines.len() != stages.len() {
+            return Err(ModelError::Topology {
+                reason: format!(
+                    "{} engines for a topology of {}",
+                    stages.len(),
+                    engines.len()
+                ),
+            });
+        }
+        for (i, (stage, spec)) in stages.iter().zip(&engines).enumerate() {
+            check_stage(i, stage, spec)?;
+        }
+        let output_rows = engines[last].out_channels;
+        if topology.classes() > output_rows {
+            return Err(ModelError::Topology {
+                reason: format!(
+                    "{} classes but an output engine of {output_rows} rows",
+                    topology.classes()
+                ),
+            });
+        }
+        let engine = PackedNet::new(
+            &stages,
+            (topology.channels(), topology.height(), topology.width()),
+            topology.classes(),
+        );
         Ok(Self {
-            topology: classifier.topology().clone(),
+            topology,
             stages,
+            engine,
         })
     }
 
@@ -543,11 +701,11 @@ impl HardwareBnn {
     /// Optimised batched inference, bit-identical to [`Self::infer_batch`],
     /// sharding images across `par` scoped worker threads.
     ///
-    /// Per shard, scratch buffers are reused across images and the first
-    /// engine's weight bits are unpacked once into ±1 integers, so the
-    /// per-pixel inner loop is a branchless multiply–accumulate instead
-    /// of a bit-test per weight. Integer arithmetic in the same order as
-    /// the reference path keeps every accumulation exact.
+    /// Each shard runs the channel-packed block engine: blocks of up to
+    /// eight images pass through one engine at a time over bit-packed HWC
+    /// activations and load-time-permuted weights, every binary dot an
+    /// XOR–popcount. Integer sums are exact in any order, so scores match
+    /// the reference path bit for bit.
     ///
     /// # Errors
     ///
@@ -599,34 +757,37 @@ impl HardwareBnn {
         } else {
             None
         };
+        // The calling thread runs the first shard itself, straight into
+        // the output: one thread spawn fewer per call.
         let chunks = par.chunks(n);
-        if chunks.len() <= 1 {
-            let mut ctx = HwInferCtx::default();
-            let mut data = Vec::with_capacity(n * classes);
-            self.infer_range_inner(xv, &mut ctx, obs_ref, &mut data)?;
-            return Tensor::from_vec(Shape::matrix(n, classes), data);
-        }
-        let parts: Vec<Result<Vec<f32>, ShapeError>> = std::thread::scope(|scope| {
+        let run = |(start, end): (usize, usize), out: &mut Vec<f32>| {
+            let slice = &xv[start * image_len..end * image_len];
+            self.engine
+                .infer(slice, &mut BlockScratch::default(), obs_ref, out);
+        };
+        let mut data = Vec::with_capacity(n * classes);
+        let parts: Vec<Vec<f32>> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .iter()
-                .map(|&(start, end)| {
-                    let slice = &xv[start * image_len..end * image_len];
+                .skip(1)
+                .map(|&range| {
                     scope.spawn(move || {
-                        let mut ctx = HwInferCtx::default();
                         let mut part = Vec::new();
-                        self.infer_range_inner(slice, &mut ctx, obs_ref, &mut part)?;
-                        Ok(part)
+                        run(range, &mut part);
+                        part
                     })
                 })
                 .collect();
+            if let Some(&first) = chunks.first() {
+                run(first, &mut data);
+            }
             handles
                 .into_iter()
                 .map(|h| h.join().expect("BNN inference worker panicked"))
                 .collect()
         });
-        let mut data = Vec::with_capacity(n * classes);
         for part in parts {
-            data.extend(part?);
+            data.extend(part);
         }
         Tensor::from_vec(Shape::matrix(n, classes), data)
     }
@@ -637,7 +798,7 @@ impl HardwareBnn {
     pub fn block_stream(&self) -> BnnBlockStream<'_> {
         BnnBlockStream {
             hw: self,
-            ctx: HwInferCtx::default(),
+            scratch: BlockScratch::default(),
             names: self.stage_span_names(),
         }
     }
@@ -658,424 +819,114 @@ impl HardwareBnn {
             })
             .collect()
     }
+}
 
-    /// Builds the first engine's tap-offset tables: the ±1 dot of a
-    /// patch equals `2 * (sum at positive-weight taps) - (sum over all
-    /// taps)`, so each output channel only needs its positive-tap
-    /// offsets into the quantised image plane — no patch gather, no
-    /// multiplies. Depends only on the topology, so a [`BnnBlockStream`]
-    /// builds it once and reuses it across every block.
-    fn build_first_conv_plan(&self, plan: &mut FirstConvPlan) {
-        let (h, w) = (self.topology.height(), self.topology.width());
-        if let Some(HwStage::FirstConv {
-            weights,
-            in_channels,
-            kernel,
-            ..
-        }) = self.stages.first()
-        {
-            let (c, k) = (*in_channels, *kernel);
-            for ch in 0..c {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        plan.all.push((ch * h * w + ky * w + kx) as u32);
-                    }
-                }
-            }
-            plan.pos_start.push(0);
-            for r in 0..weights.num_rows() {
-                let row = weights.row(r);
-                for (i, &d) in plan.all.iter().enumerate() {
-                    if row.get(i) {
-                        plan.pos.push(d);
-                    }
-                }
-                plan.pos_start.push(plan.pos.len() as u32);
-            }
-        }
-    }
+/// Largest engine fan-in a model may declare: keeps every accumulation
+/// of the packed engine (first-engine partial sums reach `3·fan_in·128`)
+/// inside `i32`.
+const MAX_FAN_IN: usize = 1 << 22;
 
-    /// Runs a contiguous run of images (raw `C·H·W` planes) through the
-    /// accelerator, appending `classes` float scores per image to `out`.
-    /// All scratch state (tap plan, activation planes, lane buffers)
-    /// lives in `ctx`, so repeated calls on one context are
-    /// allocation-free in steady state. With `obs` present, every
-    /// stage's wall time is recorded as a span (the names indexed by
-    /// global stage position).
-    fn infer_range_inner(
-        &self,
-        images: &[f32],
-        ctx: &mut HwInferCtx,
-        obs: Option<(&dyn Recorder, &[String])>,
-        out: &mut Vec<f32>,
-    ) -> Result<(), ShapeError> {
-        let (h, w) = (self.topology.height(), self.topology.width());
-        let image_len = self.topology.channels() * h * w;
-        let n = images.len() / image_len;
-        if !ctx.plan_ready {
-            self.build_first_conv_plan(&mut ctx.plan);
-            ctx.plan_ready = true;
-        }
-        let HwInferCtx {
-            plan,
-            scratch,
-            qt,
-            bits_block,
-            ..
-        } = ctx;
-        out.reserve(n * self.topology.classes());
-        if let Some(HwStage::FirstConv {
+/// Checks one engine against its topology record.
+fn check_stage(i: usize, stage: &HwStage, spec: &EngineSpec) -> Result<(), ModelError> {
+    let mismatch = |what: &str, found: String, expected: String| ModelError::Topology {
+        reason: format!("engine {i}: {what} {found}, expected {expected}"),
+    };
+    let (weights, thresholds, conv) = match stage {
+        HwStage::FirstConv {
             weights,
             thresholds,
             in_channels,
             kernel,
             pool,
-        }) = self.stages.first()
-        {
-            let (c, k) = (*in_channels, *kernel);
-            let (oh, ow) = (h - k + 1, w - k + 1);
-            let od = weights.num_rows();
-            let plane = od * oh * ow;
-            for block in images.chunks(IMG_BLOCK * image_len) {
-                let b = block.len() / image_len;
-                let t0 = obs.map(|_| now_ns());
-                self.first_conv_block(thresholds, plan, block, (c, h, w, k, od), qt, bits_block);
-                // One span per block for the first engine's compute…
-                if let (Some((rec, names)), Some(start)) = (obs, t0) {
-                    rec.record_span(&names[0], start, now_ns());
-                }
-                for i in 0..b {
-                    // …plus one per image for its plane copy and fused
-                    // OR-pool, so the stage-0 total tracks wall time.
-                    let tc = obs.map(|_| now_ns());
-                    let mut dims = (od, oh, ow);
-                    scratch.bits.clear();
-                    scratch
-                        .bits
-                        .extend_from_slice(&bits_block[i * plane..(i + 1) * plane]);
-                    if *pool {
-                        dims = or_pool_into(&scratch.bits, dims, &mut scratch.next);
-                        std::mem::swap(&mut scratch.bits, &mut scratch.next);
-                    }
-                    if let (Some((rec, names)), Some(start)) = (obs, tc) {
-                        rec.record_span(&names[0], start, now_ns());
-                    }
-                    self.infer_tail(&self.stages[1..], dims, scratch, out, obs, 1)?;
-                }
+        }
+        | HwStage::BinConv {
+            weights,
+            thresholds,
+            in_channels,
+            kernel,
+            pool,
+        } => (
+            weights,
+            Some(thresholds),
+            Some((*in_channels, *kernel, *pool)),
+        ),
+        HwStage::BinFc {
+            weights,
+            thresholds,
+        } => (weights, Some(thresholds), None),
+        HwStage::OutputFc { weights } => (weights, None, None),
+    };
+    match (conv, spec.kind) {
+        (Some((c, k, pool)), EngineKind::Conv) => {
+            if c != spec.in_channels {
+                return Err(mismatch(
+                    "input channels",
+                    c.to_string(),
+                    spec.in_channels.to_string(),
+                ));
             }
-        } else {
-            // No leading fixed-point engine (not producible by
-            // `from_classifier`, which always folds the first convolution
-            // into a `FirstConv`): run the remaining engines directly.
-            let dims = (self.topology.channels(), h, w);
-            for _ in 0..n {
-                scratch.bits.clear();
-                self.infer_tail(&self.stages, dims, scratch, out, obs, 0)?;
+            if k != spec.kernel {
+                return Err(mismatch("kernel", k.to_string(), spec.kernel.to_string()));
+            }
+            if pool != spec.pool_after {
+                return Err(mismatch(
+                    "pool flag",
+                    pool.to_string(),
+                    spec.pool_after.to_string(),
+                ));
             }
         }
-        Ok(())
-    }
-
-    /// First-engine pass over a block of `b <= IMG_BLOCK` images.
-    ///
-    /// The quantised planes are stored transposed (`qt[pixel][image]`),
-    /// so each tap of the `2 * pos_sum - total` dot (see
-    /// [`FirstConvPlan`]) is one contiguous `IMG_BLOCK`-lane integer add
-    /// that the compiler vectorises across images. The i32 lanes are
-    /// exact: |q| <= 128, so every partial sum is bounded by
-    /// `fan_in * 128`, far inside i32 range — bit-identical to the i64
-    /// reference path.
-    fn first_conv_block(
-        &self,
-        thresholds: &[HwThreshold],
-        plan: &FirstConvPlan,
-        images: &[f32],
-        (c, h, w, k, od): (usize, usize, usize, usize, usize),
-        qt: &mut Vec<i32>,
-        bits_block: &mut Vec<bool>,
-    ) {
-        let (oh, ow) = (h - k + 1, w - k + 1);
-        let image_len = c * h * w;
-        let b = images.len() / image_len;
-        let plane = od * oh * ow;
-        let fan_in = c * k * k;
-        assert!(fan_in <= (i32::MAX / 256) as usize);
-        debug_assert_eq!(plan.all.len(), fan_in);
-        qt.clear();
-        qt.resize(image_len * IMG_BLOCK, 0);
-        for i in 0..b {
-            let src = &images[i * image_len..(i + 1) * image_len];
-            for (p, &x) in src.iter().enumerate() {
-                qt[p * IMG_BLOCK + i] = Self::quantize_pixel(x) as i32;
-            }
-        }
-        bits_block.clear();
-        bits_block.resize(b * plane, false);
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let p0 = oy * w + ox;
-                let mut total = [0i32; IMG_BLOCK];
-                for &d in &plan.all {
-                    let src = &qt[(p0 + d as usize) * IMG_BLOCK..][..IMG_BLOCK];
-                    for (t, &x) in total.iter_mut().zip(src) {
-                        *t += x;
-                    }
-                }
-                for (oc, t) in thresholds.iter().enumerate().take(od) {
-                    let taps =
-                        &plan.pos[plan.pos_start[oc] as usize..plan.pos_start[oc + 1] as usize];
-                    let mut pos_sum = [0i32; IMG_BLOCK];
-                    for &d in taps {
-                        let src = &qt[(p0 + d as usize) * IMG_BLOCK..][..IMG_BLOCK];
-                        for (s, &x) in pos_sum.iter_mut().zip(src) {
-                            *s += x;
-                        }
-                    }
-                    let out_idx = (oc * oh + oy) * ow + ox;
-                    for i in 0..b {
-                        let dot = 2 * pos_sum[i] - total[i];
-                        bits_block[i * plane + out_idx] = t.fires(i64::from(dot));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs the engines after the first through one image's binary
-    /// activations (`scratch.bits`), mirroring [`Self::infer_image`]
-    /// accumulation-for-accumulation (so results are bit-identical)
-    /// while reusing `scratch` buffers instead of allocating per pixel.
-    fn infer_tail(
-        &self,
-        stages: &[HwStage],
-        mut dims: (usize, usize, usize),
-        scratch: &mut HwScratch,
-        scores_out: &mut Vec<f32>,
-        obs: Option<(&dyn Recorder, &[String])>,
-        base: usize,
-    ) -> Result<(), ShapeError> {
-        let HwScratch {
-            bits,
-            next,
-            row_words,
-            patch_words,
-            patch_bits,
-            acc,
-        } = scratch;
-        let mut scored = false;
-        for (li, stage) in stages.iter().enumerate() {
-            let t0 = obs.map(|_| now_ns());
-            match stage {
-                HwStage::FirstConv { .. } => {
-                    return Err(ShapeError::new(
-                        "HardwareBnn::infer_batch",
-                        "fixed-point engine after the first stage",
-                    ));
-                }
-                HwStage::BinConv {
-                    weights,
-                    thresholds,
-                    in_channels,
-                    kernel,
-                    pool,
-                } => {
-                    let (c, h, w) = dims;
-                    debug_assert_eq!(c, *in_channels);
-                    let k = *kernel;
-                    let (oh, ow) = (h - k + 1, w - k + 1);
-                    let od = weights.num_rows();
-                    let fan_in = c * k * k;
-                    // Bit-plane fast path: pack each activation row into one
-                    // u64 word once, then assemble every im2col patch with
-                    // k-bit shift/mask segments instead of gathering and
-                    // re-packing `fan_in` bools per output position. The
-                    // patch words carry bits in the exact (ch, ky, kx) order
-                    // of the reference path, so the XNOR dots are identical.
-                    assert!(w <= 64 && k <= w, "activation rows wider than one word");
-                    row_words.clear();
-                    row_words.resize(c * h, 0);
-                    for (row, word) in row_words.iter_mut().enumerate() {
-                        let src = &bits[row * w..(row + 1) * w];
-                        let mut packed = 0u64;
-                        for (x, &b) in src.iter().enumerate() {
-                            packed |= u64::from(b) << x;
-                        }
-                        *word = packed;
-                    }
-                    patch_words.clear();
-                    patch_words.resize(fan_in.div_ceil(64), 0);
-                    let seg_mask = (1u64 << k) - 1;
-                    next.clear();
-                    next.resize(od * oh * ow, false);
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            patch_words.iter_mut().for_each(|w| *w = 0);
-                            let mut off = 0;
-                            for ch in 0..c {
-                                for ky in 0..k {
-                                    let seg = (row_words[ch * h + oy + ky] >> ox) & seg_mask;
-                                    let (wi, sh) = (off / 64, off % 64);
-                                    patch_words[wi] |= seg << sh;
-                                    if sh + k > 64 {
-                                        patch_words[wi + 1] |= seg >> (64 - sh);
-                                    }
-                                    off += k;
-                                }
-                            }
-                            // Output channels four at a time: one traversal
-                            // of the patch words feeds four weight rows
-                            // (shared loads), with each lane's threshold
-                            // comparison fused directly after its popcount.
-                            let mut oc = 0;
-                            while oc + 4 <= od {
-                                let dots = crate::bits::xnor_dot_words_x4(
-                                    [
-                                        weights.row(oc).words(),
-                                        weights.row(oc + 1).words(),
-                                        weights.row(oc + 2).words(),
-                                        weights.row(oc + 3).words(),
-                                    ],
-                                    patch_words,
-                                    fan_in,
-                                );
-                                for (lane, dot) in dots.into_iter().enumerate() {
-                                    next[((oc + lane) * oh + oy) * ow + ox] =
-                                        thresholds[oc + lane].fires(i64::from(dot));
-                                }
-                                oc += 4;
-                            }
-                            while oc < od {
-                                let dot = i64::from(crate::bits::xnor_dot_words(
-                                    weights.row(oc).words(),
-                                    patch_words,
-                                    fan_in,
-                                ));
-                                next[(oc * oh + oy) * ow + ox] = thresholds[oc].fires(dot);
-                                oc += 1;
-                            }
-                        }
-                    }
-                    dims = (od, oh, ow);
-                    std::mem::swap(bits, next);
-                    if *pool {
-                        dims = or_pool_into(bits, dims, next);
-                        std::mem::swap(bits, next);
-                    }
-                }
-                HwStage::BinFc {
-                    weights,
-                    thresholds,
-                } => {
-                    patch_bits.refill_from_bools(bits);
-                    // Threshold comparison fused into the accumulate loop:
-                    // each ×4 popcount lane feeds its comparator directly,
-                    // writing activation bools without the i32 accumulator
-                    // round trip of the reference path.
-                    next.clear();
-                    next.reserve(weights.num_rows());
-                    weights.xnor_matvec_for_each(patch_bits, |r, dot| {
-                        next.push(thresholds[r].fires(i64::from(dot)));
-                    });
-                    std::mem::swap(bits, next);
-                    dims = (bits.len(), 1, 1);
-                }
-                HwStage::OutputFc { weights } => {
-                    patch_bits.refill_from_bools(bits);
-                    weights.xnor_matvec_into(patch_bits, acc);
-                    scores_out.extend(acc.iter().take(self.topology.classes()).map(|&s| s as f32));
-                    scored = true;
-                }
-            }
-            if let (Some((rec, names)), Some(start)) = (obs, t0) {
-                rec.record_span(&names[base + li], start, now_ns());
-            }
-        }
-        if scored {
-            Ok(())
-        } else {
-            Err(ShapeError::new(
-                "HardwareBnn::infer_batch",
-                "no output engine",
+        (None, EngineKind::Fc) => {}
+        (_, kind) => {
+            return Err(mismatch(
+                "kind",
+                if conv.is_some() { "conv" } else { "FC" }.to_string(),
+                format!("{kind:?}"),
             ))
         }
     }
-}
-
-/// How many images the first engine processes per SIMD block in
-/// [`HardwareBnn::infer_batch_with`] (the lane count of its transposed
-/// integer accumulators).
-const IMG_BLOCK: usize = 8;
-
-/// Per-run tap-offset tables for the first engine: the ±1 dot of a
-/// patch is `2 * (sum at positive-weight taps) - (sum over all taps)`,
-/// so each output channel is a sparse gather-sum over the quantised
-/// image plane.
-#[derive(Debug, Default)]
-struct FirstConvPlan {
-    /// Offsets of every patch tap relative to the window origin.
-    all: Vec<u32>,
-    /// Positive-weight tap offsets, concatenated per output channel.
-    pos: Vec<u32>,
-    /// Range bounds into `pos` per output channel (`od + 1` entries).
-    pos_start: Vec<u32>,
-}
-
-/// Reusable per-thread scratch for [`HardwareBnn::infer_batch_with`].
-#[derive(Debug)]
-struct HwScratch {
-    /// Current binary activation plane.
-    bits: Vec<bool>,
-    /// Next binary activation plane (swapped each stage).
-    next: Vec<bool>,
-    /// Activation rows bit-packed one word per row.
-    row_words: Vec<u64>,
-    /// One bit-packed im2col patch of binary activations.
-    patch_words: Vec<u64>,
-    /// Bit-packed FC input vector.
-    patch_bits: BitVec,
-    /// Integer accumulator row for the FC engines.
-    acc: Vec<i32>,
-}
-
-impl Default for HwScratch {
-    fn default() -> Self {
-        Self {
-            bits: Vec::new(),
-            next: Vec::new(),
-            row_words: Vec::new(),
-            patch_words: Vec::new(),
-            patch_bits: BitVec::zeros(0),
-            acc: Vec::new(),
-        }
+    if weights.num_rows() != spec.out_channels {
+        return Err(mismatch(
+            "weight rows",
+            weights.num_rows().to_string(),
+            spec.out_channels.to_string(),
+        ));
     }
-}
-
-/// Reusable per-thread inference context: the first engine's tap plan
-/// plus every scratch buffer. Built once per shard or [`BnnBlockStream`]
-/// so steady-state block inference performs no heap allocation and never
-/// rebuilds the plan.
-#[derive(Debug, Default)]
-struct HwInferCtx {
-    plan: FirstConvPlan,
-    plan_ready: bool,
-    scratch: HwScratch,
-    /// Transposed quantised pixel lanes (`qt[pixel][image]`).
-    qt: Vec<i32>,
-    /// First-engine output bits for the whole block.
-    bits_block: Vec<bool>,
+    if weights.num_cols() != spec.weight_cols() {
+        return Err(ModelError::FanIn {
+            stage: i,
+            cols: weights.num_cols(),
+            expected: spec.weight_cols(),
+        });
+    }
+    if spec.weight_cols() > MAX_FAN_IN {
+        return Err(mismatch(
+            "fan-in",
+            spec.weight_cols().to_string(),
+            format!("at most {MAX_FAN_IN}"),
+        ));
+    }
+    match thresholds {
+        Some(t) if t.len() != weights.num_rows() => Err(ModelError::ThresholdCount {
+            stage: i,
+            thresholds: t.len(),
+            rows: weights.num_rows(),
+        }),
+        _ => Ok(()),
+    }
 }
 
 /// A reusable single-thread block-inference stream: the FPGA side of the
 /// overlapped stage-graph executor (`Concurrency::Threaded`).
 ///
-/// Holds the first engine's tap plan, the per-stage span names, and all
-/// scratch buffers across calls, so inferring block after block of one
-/// workload is allocation-free in steady state. Scores land in a
-/// caller-owned buffer and are bit-identical per image to
-/// [`HardwareBnn::infer_batch`] — batching never changes results.
+/// Holds the per-stage span names and the packed engine's scratch across
+/// calls, so inferring block after block of one workload is
+/// allocation-free in steady state. Scores land in a caller-owned buffer
+/// and are bit-identical per image to [`HardwareBnn::infer_batch`] —
+/// batching never changes results.
 pub struct BnnBlockStream<'a> {
     hw: &'a HardwareBnn,
-    ctx: HwInferCtx,
+    scratch: BlockScratch,
     names: Vec<String>,
 }
 
@@ -1122,26 +973,15 @@ impl BnnBlockStream<'_> {
         };
         out.clear();
         let slice = &images.as_slice()[start * image_len..end * image_len];
-        self.hw
-            .infer_range_inner(slice, &mut self.ctx, obs_ref, out)
+        self.hw.engine.infer(slice, &mut self.scratch, obs_ref, out);
+        Ok(())
     }
 }
 
 /// 2×2 OR pooling over binary activations (`max` of ±1 values).
-fn or_pool(bits: &[bool], dims: (usize, usize, usize)) -> (Vec<bool>, (usize, usize, usize)) {
-    let mut out = Vec::new();
-    let out_dims = or_pool_into(bits, dims, &mut out);
-    (out, out_dims)
-}
-
-fn or_pool_into(
-    bits: &[bool],
-    (c, h, w): (usize, usize, usize),
-    out: &mut Vec<bool>,
-) -> (usize, usize, usize) {
+fn or_pool(bits: &[bool], (c, h, w): (usize, usize, usize)) -> (Vec<bool>, (usize, usize, usize)) {
     let (oh, ow) = (h / 2, w / 2);
-    out.clear();
-    out.resize(c * oh * ow, false);
+    let mut out = vec![false; c * oh * ow];
     for ch in 0..c {
         for oy in 0..oh {
             for ox in 0..ow {
@@ -1155,12 +995,13 @@ fn or_pool_into(
             }
         }
     }
-    (c, oh, ow)
+    (out, (c, oh, ow))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::{Gate, IMG_BLOCK};
     use mp_nn::train::Model;
     use mp_tensor::init::TensorRng;
 
@@ -1232,20 +1073,107 @@ mod tests {
         assert_eq!(t.shape().dims(), &[3, 10]);
     }
 
+    /// `hw` with every folded threshold redrawn: bounds spread around
+    /// each engine's typical dot, both comparison senses, and a few
+    /// bounds at or beyond the reachable range — cases batch-norm
+    /// folding of fresh statistics never produces.
+    fn with_random_thresholds(hw: &HardwareBnn, seed: u64) -> HardwareBnn {
+        let mut rng = TensorRng::seed_from(seed);
+        let mut stages = hw.stages.clone();
+        for stage in &mut stages {
+            let (fan_in, scale, thresholds) = match stage {
+                HwStage::FirstConv {
+                    weights,
+                    thresholds,
+                    ..
+                } => (weights.num_cols(), 64.0, thresholds),
+                HwStage::BinConv {
+                    weights,
+                    thresholds,
+                    ..
+                }
+                | HwStage::BinFc {
+                    weights,
+                    thresholds,
+                } => (weights.num_cols(), 1.0, thresholds),
+                HwStage::OutputFc { .. } => continue,
+            };
+            let reach = fan_in as i64 * if scale > 1.0 { 128 } else { 1 };
+            for t in thresholds.iter_mut() {
+                t.negate = rng.next_bool(0.5);
+                t.bound = match rng.next_index(20) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    2 => reach + 1,
+                    3 => -reach - 1,
+                    _ => (rng.next_normal() * scale * (fan_in as f32).sqrt()).round() as i64,
+                };
+            }
+        }
+        HardwareBnn::from_parts(hw.topology.clone(), stages).unwrap()
+    }
+
+    /// The wider topologies the packed layout must cover: the paper's
+    /// (channel widths multiples of 64), `scaled(32, 32, 3)` (widths
+    /// 21/42/85, none a multiple of 64) and `scaled(96, 96, 8)`
+    /// (activation rows wider than one word). Untrained classifiers
+    /// with random thresholds keep the set-up cheap; `images` is how
+    /// many the per-image reference can afford.
+    fn wide_models() -> Vec<(HardwareBnn, usize, usize)> {
+        [
+            (FinnTopology::paper(), 32, 3),
+            (FinnTopology::scaled(32, 32, 3), 32, 10),
+            (FinnTopology::scaled(96, 96, 8), 96, 3),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (topo, edge, images))| {
+            let mut rng = TensorRng::seed_from(90 + i as u64);
+            let bnn = BnnClassifier::new(topo, &mut rng).unwrap();
+            let hw = HardwareBnn::from_classifier(&bnn).unwrap();
+            (with_random_thresholds(&hw, 95 + i as u64), edge, images)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn gates_match_threshold_semantics() {
+        for fan_in in [1usize, 2, 7, 27, 64, 576] {
+            let f = fan_in as i64;
+            let bounds = (-f - 3..=f + 3).chain([i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1]);
+            for bound in bounds {
+                for negate in [false, true] {
+                    let t = HwThreshold { bound, negate };
+                    let on_m = Gate::on_mismatches(t, fan_in);
+                    let on_dot = Gate::on_dot(t, f);
+                    for m in 0..=fan_in as i32 {
+                        let dot = f as i32 - 2 * m;
+                        let want = u64::from(t.fires(i64::from(dot)));
+                        assert_eq!(on_m.fires(m), want, "F={fan_in} {t:?} m={m}");
+                        assert_eq!(on_dot.fires(dot), want, "F={fan_in} {t:?} dot={dot}");
+                        assert_eq!(on_dot.mirrored().fires(-dot), want, "mirrored {t:?}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn batched_path_is_bit_identical_to_reference_across_threads() {
         let bnn = trained_tiny(80);
         let hw = HardwareBnn::from_classifier(&bnn).unwrap();
         let mut rng = TensorRng::seed_from(81);
-        for n in [1usize, 4, 7] {
-            let batch = rng.normal(Shape::nchw(n, 3, 8, 8), 0.0, 1.0);
+        let mut cases = vec![(hw.clone(), 8, 1), (hw.clone(), 8, 4), (hw, 8, 7)];
+        cases.extend(wide_models());
+        for (hw, edge, n) in cases {
+            let batch = rng.normal(Shape::nchw(n, 3, edge, edge), 0.0, 1.0);
             let reference = hw.infer_batch(&batch).unwrap();
             for threads in [1usize, 2, 5] {
                 let got = hw
                     .infer_batch_with(&batch, mp_tensor::Parallelism::new(threads))
                     .unwrap();
                 assert_eq!(reference.shape(), got.shape());
-                assert_eq!(reference.as_slice(), got.as_slice());
+                assert_eq!(reference.as_slice(), got.as_slice(), "{edge}px n={n}");
             }
         }
     }
@@ -1255,38 +1183,188 @@ mod tests {
         let bnn = trained_tiny(80);
         let hw = HardwareBnn::from_classifier(&bnn).unwrap();
         let mut rng = TensorRng::seed_from(84);
-        let n = 21;
-        let batch = rng.normal(Shape::nchw(n, 3, 8, 8), 0.0, 1.0);
-        let reference = hw.infer_batch(&batch).unwrap();
-        // One stream reused across every split: exercises plan + scratch
-        // reuse across block sizes that straddle IMG_BLOCK and n.
-        let mut stream = hw.block_stream();
-        let mut scores = Vec::new();
-        for block in [1usize, 3, IMG_BLOCK, 10, n, n + 5] {
-            let mut got = Vec::new();
-            let mut start = 0;
-            while start < n {
-                let end = (start + block).min(n);
-                stream
-                    .infer_block_into(&batch, start, end, &mp_obs::NULL_RECORDER, &mut scores)
-                    .unwrap();
-                got.extend_from_slice(&scores);
-                start = end;
+        let mut cases = vec![(hw, 8, 21)];
+        cases.extend(wide_models());
+        for (hw, edge, n) in cases {
+            let batch = rng.normal(Shape::nchw(n, 3, edge, edge), 0.0, 1.0);
+            let reference = hw.infer_batch(&batch).unwrap();
+            // One stream reused across every split: exercises scratch
+            // reuse across block sizes that straddle IMG_BLOCK and n.
+            let mut stream = hw.block_stream();
+            let mut scores = Vec::new();
+            for block in [1usize, 3, IMG_BLOCK, 10, n, n + 5] {
+                let mut got = Vec::new();
+                let mut start = 0;
+                while start < n {
+                    let end = (start + block).min(n);
+                    stream
+                        .infer_block_into(&batch, start, end, &mp_obs::NULL_RECORDER, &mut scores)
+                        .unwrap();
+                    got.extend_from_slice(&scores);
+                    start = end;
+                }
+                assert_eq!(
+                    got.as_slice(),
+                    reference.as_slice(),
+                    "{edge}px block={block}"
+                );
             }
-            assert_eq!(got.as_slice(), reference.as_slice(), "block={block}");
+            // Empty range is well-formed and clears the output buffer.
+            stream
+                .infer_block_into(&batch, 1, 1, &mp_obs::NULL_RECORDER, &mut scores)
+                .unwrap();
+            assert!(scores.is_empty());
+            // Out-of-bounds and inverted ranges are rejected.
+            assert!(stream
+                .infer_block_into(&batch, 0, n + 1, &mp_obs::NULL_RECORDER, &mut scores)
+                .is_err());
+            assert!(stream
+                .infer_block_into(&batch, 2, 1, &mp_obs::NULL_RECORDER, &mut scores)
+                .is_err());
         }
-        // Empty range is well-formed and clears the output buffer.
-        stream
-            .infer_block_into(&batch, 5, 5, &mp_obs::NULL_RECORDER, &mut scores)
+    }
+
+    /// Regression: activation rows wider than 64 pixels used to panic in
+    /// the batched path ("activation rows wider than one word") while
+    /// the per-image reference ran fine.
+    #[test]
+    fn rows_wider_than_a_word_match_reference() {
+        let mut rng = TensorRng::seed_from(86);
+        let bnn = BnnClassifier::new(FinnTopology::scaled(96, 96, 8), &mut rng).unwrap();
+        let hw = HardwareBnn::from_classifier(&bnn).unwrap();
+        let batch = rng.normal(Shape::nchw(2, 3, 96, 96), 0.0, 1.0);
+        let reference = hw.infer_batch(&batch).unwrap();
+        let batched = hw
+            .infer_batch_with(&batch, mp_tensor::Parallelism::sequential())
             .unwrap();
-        assert!(scores.is_empty());
-        // Out-of-bounds and inverted ranges are rejected.
-        assert!(stream
-            .infer_block_into(&batch, 0, n + 1, &mp_obs::NULL_RECORDER, &mut scores)
-            .is_err());
-        assert!(stream
-            .infer_block_into(&batch, 4, 2, &mp_obs::NULL_RECORDER, &mut scores)
-            .is_err());
+        assert_eq!(batched.as_slice(), reference.as_slice());
+        let mut scores = Vec::new();
+        hw.block_stream()
+            .infer_block_into(&batch, 0, 2, &mp_obs::NULL_RECORDER, &mut scores)
+            .unwrap();
+        assert_eq!(scores.as_slice(), reference.as_slice());
+    }
+
+    /// Serialises `hw`, applies `mutate` to its stage list and loads it
+    /// back through the checked deserialiser.
+    fn reload_with(
+        hw: &HardwareBnn,
+        mutate: impl FnOnce(&mut Vec<Value>),
+    ) -> Result<HardwareBnn, serde::Error> {
+        let mut value = hw.to_value();
+        let Value::Map(fields) = &mut value else {
+            panic!("HardwareBnn must serialise to an object")
+        };
+        let (_, stages) = fields.iter_mut().find(|(k, _)| k == "stages").unwrap();
+        let Value::Seq(items) = stages else {
+            panic!("stages must serialise to an array")
+        };
+        mutate(items);
+        HardwareBnn::from_value(&value)
+    }
+
+    /// Field `name` of a serialised stage (`{"Variant": {fields}}`).
+    fn stage_field<'v>(stage: &'v mut Value, name: &str) -> &'v mut Value {
+        let Value::Map(variant) = stage else {
+            panic!("stage must serialise to a tagged object")
+        };
+        let Value::Map(fields) = &mut variant[0].1 else {
+            panic!("stage payload must be an object")
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == name).unwrap().1
+    }
+
+    fn assert_rejected(got: Result<HardwareBnn, serde::Error>, want: ModelError) {
+        let err = got.expect_err("malformed model must be rejected");
+        assert_eq!(err.to_string(), want.to_string());
+    }
+
+    #[test]
+    fn deserialize_accepts_the_exported_model() {
+        let hw = HardwareBnn::from_classifier(&trained_tiny(87)).unwrap();
+        let back = reload_with(&hw, |_| {}).unwrap();
+        let img = TensorRng::seed_from(88).normal(Shape::nchw(2, 3, 8, 8), 0.0, 1.0);
+        assert_eq!(
+            back.infer_batch_with(&img, mp_tensor::Parallelism::sequential())
+                .unwrap()
+                .as_slice(),
+            hw.infer_batch(&img).unwrap().as_slice()
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_empty_stage_list() {
+        let hw = HardwareBnn::from_classifier(&trained_tiny(87)).unwrap();
+        assert_rejected(reload_with(&hw, Vec::clear), ModelError::NoStages);
+    }
+
+    #[test]
+    fn deserialize_rejects_first_conv_out_of_place() {
+        let hw = HardwareBnn::from_classifier(&trained_tiny(87)).unwrap();
+        assert_rejected(
+            reload_with(&hw, |stages| stages.swap(0, 1)),
+            ModelError::FirstConvNotFirst { stage: 1 },
+        );
+        // A model that starts with a binary conv has no first conv at all.
+        assert_rejected(
+            reload_with(&hw, |stages| {
+                stages.remove(0);
+            }),
+            ModelError::FirstConvNotFirst { stage: 0 },
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_missing_output_engine() {
+        let hw = HardwareBnn::from_classifier(&trained_tiny(87)).unwrap();
+        let last = hw.stages.len() - 1;
+        assert_rejected(
+            reload_with(&hw, |stages| {
+                stages.pop();
+            }),
+            ModelError::OutputNotLast { stage: last - 1 },
+        );
+        assert_rejected(
+            reload_with(&hw, |stages| stages.swap(last - 1, last)),
+            ModelError::OutputNotLast { stage: last - 1 },
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_threshold_count_mismatch() {
+        let hw = HardwareBnn::from_classifier(&trained_tiny(87)).unwrap();
+        let rows = hw.stage_summaries()[1].out_channels;
+        assert_rejected(
+            reload_with(&hw, |stages| {
+                let Value::Seq(t) = stage_field(&mut stages[1], "thresholds") else {
+                    panic!("thresholds must serialise to an array")
+                };
+                t.pop();
+            }),
+            ModelError::ThresholdCount {
+                stage: 1,
+                thresholds: rows - 1,
+                rows,
+            },
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_fan_in_mismatch() {
+        let hw = HardwareBnn::from_classifier(&trained_tiny(87)).unwrap();
+        let s = &hw.stage_summaries()[2];
+        let (rows, cols) = (s.out_channels, s.fan_in);
+        assert_rejected(
+            reload_with(&hw, |stages| {
+                *stage_field(&mut stages[2], "weights") =
+                    BitMatrix::from_signs(rows, cols + 1, &vec![1.0; rows * (cols + 1)]).to_value();
+            }),
+            ModelError::FanIn {
+                stage: 2,
+                cols: cols + 1,
+                expected: cols,
+            },
+        );
     }
 
     #[test]

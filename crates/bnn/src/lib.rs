@@ -36,10 +36,11 @@
 pub mod bits;
 mod classifier;
 pub mod hardware;
+mod packed;
 pub mod planes;
 pub mod ste;
 mod topology;
 
 pub use classifier::{BnFold, BnnClassifier, LatentKind, LatentStage};
-pub use hardware::{AccRange, BnnBlockStream, HardwareBnn, StageSummary};
+pub use hardware::{AccRange, BnnBlockStream, HardwareBnn, ModelError, StageSummary};
 pub use topology::{EngineKind, EngineSpec, FinnTopology};

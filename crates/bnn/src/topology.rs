@@ -264,13 +264,38 @@ impl FinnTopology {
     /// Panics if the image is too small for the layer stack (a 3×3 valid
     /// convolution needs ≥3 pixels at every stage).
     pub fn engines(&self) -> Vec<EngineSpec> {
+        self.try_engines()
+            .unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// [`Self::engines`] without the panic: describes why a topology
+    /// (say, one read from an untrusted model file) has no valid engine
+    /// walk — an image too small for the stack, mismatched layer lists,
+    /// or a zero-sized layer.
+    ///
+    /// # Errors
+    ///
+    /// The reason, as text.
+    pub fn try_engines(&self) -> Result<Vec<EngineSpec>, String> {
+        if self.conv_channels.is_empty() || self.fc_sizes.is_empty() {
+            return Err("need at least one conv and one FC layer".to_string());
+        }
+        if self.conv_channels.len() != self.pool_after.len() {
+            return Err(format!(
+                "{} pool flags for {} conv layers",
+                self.pool_after.len(),
+                self.conv_channels.len()
+            ));
+        }
+        if self.channels == 0 || self.conv_channels.contains(&0) || self.fc_sizes.contains(&0) {
+            return Err("zero-sized layer".to_string());
+        }
         let mut specs = Vec::new();
         let (mut c, mut h, mut w) = (self.channels, self.height, self.width);
         for (i, (&oc, &pool)) in self.conv_channels.iter().zip(&self.pool_after).enumerate() {
-            assert!(
-                h >= 3 && w >= 3,
-                "image too small for conv layer {i}: {h}x{w}"
-            );
+            if h < 3 || w < 3 {
+                return Err(format!("image too small for conv layer {i}: {h}x{w}"));
+            }
             let (oh, ow) = (h - 2, w - 2); // 3×3 valid convolution
             specs.push(EngineSpec {
                 name: format!("3x3-conv-{oc}"),
@@ -295,6 +320,11 @@ impl FinnTopology {
             }
         }
         let mut features = c * h * w;
+        if features == 0 {
+            return Err(format!(
+                "no features left after the conv stack: {c}x{h}x{w}"
+            ));
+        }
         let last = self.fc_sizes.len() - 1;
         for (i, &of) in self.fc_sizes.iter().enumerate() {
             specs.push(EngineSpec {
@@ -313,7 +343,7 @@ impl FinnTopology {
             });
             features = of;
         }
-        specs
+        Ok(specs)
     }
 
     /// Total single-bit parameter count across all engines.

@@ -1415,14 +1415,12 @@ fn infer_host_subset(
 ) -> Result<Vec<usize>, CoreError> {
     let mut preds = Vec::with_capacity(indices.len());
     for chunk in indices.chunks(HOST_BATCH) {
-        let images: Vec<Tensor> = chunk
-            .iter()
-            .map(|&i| data.images().batch_item(i))
-            .collect::<Result<_, _>>()?;
-        let batch = Tensor::stack_batch(&images)?;
+        // One gather straight into the batch tensor: no per-image copies
+        // alive next to the stacked batch while the host runs.
+        let batch = data.select(chunk)?;
         let t0 = rec.enabled().then(now_ns);
         let scores = host
-            .infer_batch_obs(&batch, par, rec)
+            .infer_batch_obs(batch.images(), par, rec)
             .map_err(CoreError::host)?;
         if let Some(start) = t0 {
             let end = now_ns();

@@ -48,11 +48,14 @@ impl Workspace {
     /// `clear`/`resize` (the `_into` kernels in [`crate::linalg`] and
     /// [`crate::conv`] do this themselves). Prefers the pooled buffer
     /// with the largest capacity so allocations converge to the high-water
-    /// mark of the workload.
+    /// mark of the workload. A buffer that must grow grows to exactly
+    /// `len`: amortised doubling would leave up to twice the high-water
+    /// mark allocated, and the inference paths build a pool per call, so
+    /// that slack is never used.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
         match self.free.pop() {
             Some(mut buf) => {
-                buf.reserve(len.saturating_sub(buf.len()));
+                buf.reserve_exact(len.saturating_sub(buf.len()));
                 buf
             }
             None => Vec::with_capacity(len),

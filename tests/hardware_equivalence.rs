@@ -99,3 +99,17 @@ fn hardware_round_trips_through_serde() {
         back.infer_image(&img).expect("round-tripped")
     );
 }
+
+/// The XNOR-popcount kernels rely on `count_ones` compiling to the
+/// `popcnt` instruction. On x86-64 Linux that takes the repository's
+/// `.cargo/config.toml` build baseline (`target-cpu=x86-64-v2`); a build
+/// that loses it would silently fall back to a software popcount.
+#[test]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn x86_64_builds_use_hardware_popcount() {
+    let built_with_popcnt = cfg!(target_feature = "popcnt");
+    assert!(
+        built_with_popcnt,
+        "built without POPCNT: is .cargo/config.toml's x86-64-v2 baseline in effect?"
+    );
+}

@@ -281,6 +281,38 @@ fn exported_report_round_trips_and_validates() {
 /// measured batch wall time. With sequential parallelism the stage spans
 /// tile the whole inner loop, so their sum can neither exceed the wall
 /// clock nor fall far below it.
+/// Every `bnn.stage<i>.*` span records one entry per engine pass — a
+/// block of up to eight images through one engine — so all stages share
+/// one count, for the batched path and the block stream alike.
+#[test]
+fn bnn_stage_spans_share_one_count() {
+    let (hw, _, data, _) = tiny_system(21);
+    let stage_counts = |rec: &SharedRecorder| -> Vec<u64> {
+        rec.report()
+            .spans
+            .iter()
+            .filter(|s| s.name.starts_with(schema::SPAN_BNN_STAGE_PREFIX))
+            .map(|s| s.count)
+            .collect()
+    };
+    let stages = hw.stage_summaries().len();
+    let rec = SharedRecorder::new();
+    hw.infer_batch_obs(data.images(), Parallelism::new(1), &rec)
+        .unwrap();
+    // 21 images: passes of 8, 8 and 5.
+    assert_eq!(stage_counts(&rec), vec![3; stages]);
+    let rec = SharedRecorder::new();
+    let mut stream = hw.block_stream();
+    let mut scores = Vec::new();
+    for (start, end) in [(0, 5), (5, 21)] {
+        stream
+            .infer_block_into(data.images(), start, end, &rec, &mut scores)
+            .unwrap();
+    }
+    // 0..5 is one pass; 5..21 is two.
+    assert_eq!(stage_counts(&rec), vec![3; stages]);
+}
+
 #[test]
 fn bnn_stage_spans_sum_to_batch_wall_time() {
     let (hw, _, data, _) = tiny_system(128);

@@ -888,17 +888,24 @@ proptest! {
 
 // ---- mp-int: multi-plane arithmetic and the precision corners ----
 
-/// Trained-once pair for the precision-corner identity: the optimized
+/// Trained-once pairs for the precision-corner identity: the optimized
 /// XNOR-popcount hardware view and the multi-plane quantized path at
-/// `NetworkPrecision::one_bit`, built from the same classifier.
-fn quant_corner_fixture() -> &'static (HardwareBnn, QuantBnn) {
-    static FIXTURE: OnceLock<(HardwareBnn, QuantBnn)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
+/// `NetworkPrecision::one_bit`, built from the same classifier — on the
+/// toy `scaled(8, 8, 8)` net and on `scaled(32, 32, 3)`, whose channel
+/// widths (21/42/85) are not multiples of the 64-bit word.
+fn quant_corner_fixture(wide: bool) -> &'static (HardwareBnn, QuantBnn, usize) {
+    static TOY: OnceLock<(HardwareBnn, QuantBnn, usize)> = OnceLock::new();
+    static WIDE: OnceLock<(HardwareBnn, QuantBnn, usize)> = OnceLock::new();
+    let (cell, topology, edge) = if wide {
+        (&WIDE, multiprec::bnn::FinnTopology::scaled(32, 32, 3), 32)
+    } else {
+        (&TOY, multiprec::bnn::FinnTopology::scaled(8, 8, 8), 8)
+    };
+    cell.get_or_init(|| {
         let mut rng = TensorRng::seed_from(4018);
-        let mut bnn =
-            BnnClassifier::new(multiprec::bnn::FinnTopology::scaled(8, 8, 8), &mut rng).unwrap();
+        let mut bnn = BnnClassifier::new(topology, &mut rng).unwrap();
         for _ in 0..3 {
-            let x = rng.normal(multiprec::tensor::Shape::nchw(8, 3, 8, 8), 0.0, 1.0);
+            let x = rng.normal(multiprec::tensor::Shape::nchw(8, 3, edge, edge), 0.0, 1.0);
             bnn.forward_mode(&x, Mode::Train).unwrap();
         }
         let hw = HardwareBnn::from_classifier(&bnn).unwrap();
@@ -908,7 +915,7 @@ fn quant_corner_fixture() -> &'static (HardwareBnn, QuantBnn) {
             NetworkPrecision::one_bit(layers).expect("1-bit precision"),
         )
         .unwrap();
-        (hw, quant)
+        (hw, quant, edge)
     })
 }
 
@@ -980,11 +987,11 @@ proptest! {
     #[test]
     fn quant_one_bit_corner_matches_bnn_fast_path(
         seed in any::<u64>(), n in 1usize..7, threads in 1usize..5,
-        mean in -2.0f32..2.0, sigma in 0.05f32..4.0
+        mean in -2.0f32..2.0, sigma in 0.05f32..4.0, wide in any::<bool>()
     ) {
-        let (hw, quant) = quant_corner_fixture();
+        let (hw, quant, edge) = quant_corner_fixture(wide);
         let mut rng = TensorRng::seed_from(seed);
-        let batch = rng.normal(multiprec::tensor::Shape::nchw(n, 3, 8, 8), mean, sigma);
+        let batch = rng.normal(multiprec::tensor::Shape::nchw(n, 3, *edge, *edge), mean, sigma);
         let fast = hw.infer_batch_with(&batch, Parallelism::new(threads)).unwrap();
         let q = quant
             .infer_batch_obs(&batch, Parallelism::new(threads), &multiprec::obs::NULL_RECORDER)
