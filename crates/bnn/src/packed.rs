@@ -320,33 +320,15 @@ impl FirstConv {
     }
 
     /// One pass over `b <= IMG_BLOCK` raw `C·H·W` images, writing image
-    /// `i`'s packed output at `out[i * stride..]`. Lanes are `i16` when
-    /// the partial sums provably fit (`|2·subset − total| <= 3·fan_in·128`),
-    /// which doubles the lanes per vector add; `i32` otherwise.
-    fn run(&self, images: &[f32], b: usize, qt: &mut QuantLanes, out: &mut [u64], stride: usize) {
-        if 3 * self.all.len() * 128 <= i16::MAX as usize {
-            self.run_lanes(images, b, &mut qt.narrow, out, stride);
-        } else {
-            self.run_lanes(images, b, &mut qt.wide, out, stride);
-        }
-    }
-
-    #[inline(always)]
-    fn run_lanes<L: Lane>(
-        &self,
-        images: &[f32],
-        b: usize,
-        qt: &mut Vec<L>,
-        out: &mut [u64],
-        stride: usize,
-    ) {
+    /// `i`'s packed output at `out[i * stride..]`.
+    fn run(&self, images: &[f32], b: usize, qt: &mut Vec<i32>, out: &mut [u64], stride: usize) {
         let Plane { c, h, w } = self.plane;
         let image_len = c * h * w;
         qt.clear();
-        qt.resize(image_len * IMG_BLOCK, L::default());
+        qt.resize(image_len * IMG_BLOCK, 0);
         for (i, src) in images.chunks_exact(image_len).take(b).enumerate() {
             for (p, &x) in src.iter().enumerate() {
-                qt[p * IMG_BLOCK + i] = L::quantized(x);
+                qt[p * IMG_BLOCK + i] = HardwareBnn::quantize_pixel(x) as i32;
             }
         }
         let op = self.conv_plane();
@@ -354,16 +336,16 @@ impl FirstConv {
         for (i, cur) in cursors.iter_mut().enumerate().take(b) {
             cur.word = i * stride;
         }
-        let lanes = |d: usize, p0: usize, acc: &mut [L; IMG_BLOCK]| {
+        let lanes = |d: usize, p0: usize, acc: &mut [i32; IMG_BLOCK]| {
             let src = &qt[(p0 + d) * IMG_BLOCK..][..IMG_BLOCK];
             for (a, &x) in acc.iter_mut().zip(src) {
-                *a = *a + x;
+                *a += x;
             }
         };
         for oy in 0..op.h {
             for ox in 0..op.w {
                 let p0 = oy * w + ox;
-                let mut total = [L::default(); IMG_BLOCK];
+                let mut total = [0; IMG_BLOCK];
                 for &d in &self.all {
                     lanes(d, p0, &mut total);
                 }
@@ -372,12 +354,12 @@ impl FirstConv {
                     for (j, &gate) in group.iter().enumerate() {
                         let oc = g * 64 + j;
                         let taps = &self.taps[self.tap_start[oc]..self.tap_start[oc + 1]];
-                        let mut sum = [L::default(); IMG_BLOCK];
+                        let mut sum = [0; IMG_BLOCK];
                         for &d in taps {
                             lanes(d, p0, &mut sum);
                         }
                         for ((bw, &s), &t) in bits.iter_mut().zip(&sum).zip(&total) {
-                            *bw |= gate.fires((s + s - t).into()) << j;
+                            *bw |= gate.fires(2 * s - t) << j;
                         }
                     }
                     for (cur, &bw) in cursors.iter_mut().zip(&bits).take(b) {
@@ -390,34 +372,6 @@ impl FirstConv {
             cur.finish(out);
         }
     }
-}
-
-/// An integer lane of the first engine's accumulators.
-trait Lane:
-    Copy + Default + std::ops::Add<Output = Self> + std::ops::Sub<Output = Self> + Into<i32>
-{
-    /// A pixel on the Q2.6 grid (`|q| <= 128`, exact in either width).
-    fn quantized(x: f32) -> Self;
-}
-
-impl Lane for i16 {
-    fn quantized(x: f32) -> Self {
-        HardwareBnn::quantize_pixel(x) as i16
-    }
-}
-
-impl Lane for i32 {
-    fn quantized(x: f32) -> Self {
-        HardwareBnn::quantize_pixel(x) as i32
-    }
-}
-
-/// Transposed quantised pixel lanes (`qt[pixel][image]`), in whichever
-/// width the first engine runs.
-#[derive(Debug, Default)]
-pub(crate) struct QuantLanes {
-    narrow: Vec<i16>,
-    wide: Vec<i32>,
 }
 
 /// Spatial shape of one packed activation tensor.
@@ -798,8 +752,8 @@ fn pool_block(cur: &mut Vec<u64>, next: &mut Vec<u64>, plane: Plane, b: usize, s
 /// Reusable per-thread scratch of the packed engine.
 #[derive(Debug, Default)]
 pub(crate) struct BlockScratch {
-    /// The first engine's pixel lanes.
-    qt: QuantLanes,
+    /// The first engine's transposed pixel lanes.
+    qt: Vec<i32>,
     /// Packed activations of the block, `stride` words per image.
     cur: Vec<u64>,
     /// The next engine's packed activations (swapped with `cur`).

@@ -277,10 +277,6 @@ fn exported_report_round_trips_and_validates() {
     assert_eq!(parsed.span(schema::SPAN_PIPELINE_EXECUTE).unwrap().count, 1);
 }
 
-/// Acceptance criterion: the per-stage BNN spans must account for the
-/// measured batch wall time. With sequential parallelism the stage spans
-/// tile the whole inner loop, so their sum can neither exceed the wall
-/// clock nor fall far below it.
 /// Every `bnn.stage<i>.*` span records one entry per engine pass — a
 /// block of up to eight images through one engine — so all stages share
 /// one count, for the batched path and the block stream alike.
@@ -313,6 +309,10 @@ fn bnn_stage_spans_share_one_count() {
     assert_eq!(stage_counts(&rec), vec![3; stages]);
 }
 
+/// Acceptance criterion: the per-stage BNN spans must account for the
+/// measured batch wall time. With sequential parallelism the stage spans
+/// tile the whole inner loop, so their sum can neither exceed the wall
+/// clock nor fall far below it.
 #[test]
 fn bnn_stage_spans_sum_to_batch_wall_time() {
     let (hw, _, data, _) = tiny_system(128);
