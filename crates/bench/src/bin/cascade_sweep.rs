@@ -14,7 +14,7 @@
 //! that is the CI gate (`--smoke` runs the same assertions on the tiny
 //! profile). Two more gates pin the API contract itself:
 //!
-//! - `CascadePolicy::dmu(t)` executes **bit-identically** to the legacy
+//! - `CascadePolicy::dmu(t)` executes **bit-identically** to the
 //!   constructor threshold (predictions, flags, modeled time);
 //! - the executor's measured per-stage traffic and accuracy equal the
 //!   tuner's calibration-set evaluation at the tuned gates.
@@ -73,7 +73,7 @@ struct CascadeParetoRecord {
     /// Modeled per-image cost of each stage (seconds).
     stage_unit_costs_s: Vec<f64>,
     gate_grid: Vec<f32>,
-    /// Gate: `CascadePolicy::dmu(t)` ran bit-identically to the legacy
+    /// Gate: `CascadePolicy::dmu(t)` ran bit-identically to the
     /// constructor threshold.
     dmu_bit_identical: bool,
     /// Gate: the executor's traffic/accuracy matched the tuner's
@@ -130,7 +130,7 @@ fn main() {
     let labels = sys.test.labels();
     let lut = CostLut::mpic();
 
-    // Gate 1: dmu(t) is bit-identical to the legacy constructor threshold.
+    // Gate 1: dmu(t) is bit-identical to the constructor threshold.
     let legacy = sys.execute(id, &run_opts).expect("legacy threshold run");
     let via_cascade = sys
         .execute(

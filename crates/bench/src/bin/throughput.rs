@@ -14,9 +14,11 @@
 //!   [`SharedRecorder`] whose report is written to
 //!   `results/obs_throughput.json`.
 //!
-//! - **overlap**: the serial two-phase [`Concurrency::Modeled`] executor
+//! - **overlap**: the serial two-phase
+//!   [`Concurrency::Modeled`](mp_core::Concurrency::Modeled) executor
 //!   (classify everything, then re-infer the flagged subset) vs the
-//!   overlapped block-pipelined [`Concurrency::Threaded`] stage graph on
+//!   overlapped block-pipelined
+//!   [`Concurrency::Threaded`](mp_core::Concurrency::Threaded) stage graph on
 //!   the same interleaved workload, plus each executor's BNN-side
 //!   throughput extracted from its recorded spans.
 //!
@@ -299,8 +301,10 @@ fn main() {
 
     // --- combined arm ---
     let timing = PipelineTiming::new(1.0 / 430.0, 1.0 / 30.0, 32);
-    let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, threshold).with_parallelism(par);
-    let opts = RunOptions::new(timing).with_host_accuracy(0.5);
+    let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, threshold);
+    let opts = RunOptions::new(timing)
+        .with_host_accuracy(0.5)
+        .with_parallelism(par);
     let base_preds = combined_baseline(&hw, &dmu, &mut host, &data, threshold);
     let opt_result = pipeline
         .execute(&host, &data, &opts)

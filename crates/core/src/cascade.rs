@@ -12,11 +12,12 @@
 //! [`RunOptions::with_cascade`](crate::run::RunOptions::with_cascade) /
 //! [`MultiPrecisionPipeline::execute`](crate::pipeline::MultiPrecisionPipeline::execute).
 //!
-//! The legacy threshold is the canonical 2-stage instance:
+//! The paper's threshold is the canonical 2-stage instance:
 //! [`CascadePolicy::dmu`]`(t)` ≡ "low-precision stage gated at `t`,
-//! float host terminal", and the executor routes that shape through the
-//! exact legacy code path, so it is **bit-identical** to
-//! `with_threshold(t)` — predictions, flags and fault accounting alike.
+//! float host terminal". It is the default policy of
+//! [`MultiPrecisionPipeline::new`](crate::pipeline::MultiPrecisionPipeline::new),
+//! and the one shape the threaded executor also runs (fault injection
+//! included).
 //!
 //! Gate semantics are NaN-safe by construction: a stage accepts an
 //! image only when [`gate_accepts`] holds, and `NaN >= t` is `false`,
@@ -62,8 +63,9 @@ pub enum StageClassifier {
     /// The run's configured low-precision classifier — whatever
     /// [`RunOptions::with_precision`](crate::run::RunOptions::with_precision)
     /// selects (the 1-bit `HardwareBnn` by default). Using a symbolic
-    /// first stage keeps one policy valid across precisions, exactly
-    /// like the legacy threshold was.
+    /// first stage keeps one policy valid across precisions. Under
+    /// [`Precision::Float32`] it is the 1-bit engine whose gate accepts
+    /// nothing, so every image reaches the host.
     Primary,
     /// An explicit quantized intermediate stage: the [`QuantBnn`]
     /// classifies the escalated subset, the DMU gates on its normalised
@@ -107,9 +109,8 @@ impl StageClassifier {
         let lut = CostLut::mpic();
         match self {
             StageClassifier::Primary => match primary {
-                Precision::OneBit => timing.t_bnn_img_s,
+                Precision::OneBit | Precision::Float32 => timing.t_bnn_img_s,
                 Precision::Quantized(q) => timing.t_bnn_img_s * q.network_cost_factor(&lut),
-                Precision::Float32 => timing.t_fp_img_s,
             },
             StageClassifier::Quantized(q) => timing.t_bnn_img_s * q.network_cost_factor(&lut),
             StageClassifier::HostFloat => timing.t_fp_img_s,
@@ -256,10 +257,9 @@ impl CascadePolicy {
 
     /// `Some(t)` when this policy is exactly the DMU shape
     /// ([`dmu`](Self::dmu)`(t)`): the primary classifier gated at `t`,
-    /// then the terminal float host. The executor routes this shape
-    /// through the legacy threshold path, so it works under both
-    /// executors (including fault injection) and is bit-identical to
-    /// the deprecated `with_threshold(t)`.
+    /// then the terminal float host — the one shape that also runs
+    /// under the threaded executor (fault injection included) and the
+    /// float32 corner.
     pub fn dmu_threshold(&self) -> Option<f32> {
         match self.stages.as_slice() {
             [CascadeStage {

@@ -14,7 +14,7 @@
 //! host. Sweeping the threshold (Fig. 5) trades accuracy against host
 //! load, eqs. (6)–(7).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use mp_tensor::init::TensorRng;
 use mp_tensor::{ShapeError, Tensor};
@@ -91,6 +91,32 @@ impl ConfusionQuadrants {
     }
 }
 
+/// Why DMU parameters failed their load-time checks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DmuError {
+    /// The weight vector is empty: the unit would gate on zero scores.
+    NoWeights,
+    /// A weight is NaN or infinite.
+    NonFiniteWeight {
+        /// Position of the first offending weight.
+        index: usize,
+    },
+    /// The bias is NaN or infinite.
+    NonFiniteBias,
+}
+
+impl std::fmt::Display for DmuError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NoWeights => write!(f, "DMU weights must be non-empty"),
+            Self::NonFiniteWeight { index } => write!(f, "DMU weight {index} is not finite"),
+            Self::NonFiniteBias => write!(f, "DMU bias is not finite"),
+        }
+    }
+}
+
+impl std::error::Error for DmuError {}
+
 /// The trained DMU: `p(correct) = σ(w · scores + b)`.
 ///
 /// # Example
@@ -102,7 +128,11 @@ impl ConfusionQuadrants {
 /// let p = dmu.predict(&[2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
 /// assert!((0.0..=1.0).contains(&p));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization is checked: it builds through
+/// [`Dmu::try_with_weights`], so a loaded unit always has at least one
+/// weight and finite parameters.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dmu {
     weights: Vec<f32>,
     bias: f32,
@@ -126,10 +156,28 @@ impl Dmu {
     ///
     /// # Panics
     ///
-    /// Panics if `weights` is empty.
+    /// Panics if [`Dmu::try_with_weights`] rejects the parameters.
     pub fn with_weights(weights: Vec<f32>, bias: f32) -> Self {
-        assert!(!weights.is_empty(), "weights must be non-empty");
-        Self { weights, bias }
+        Self::try_with_weights(weights, bias).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a DMU from explicit parameters, checking them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DmuError`] if `weights` is empty or a weight or the
+    /// bias is not finite.
+    pub fn try_with_weights(weights: Vec<f32>, bias: f32) -> Result<Self, DmuError> {
+        if weights.is_empty() {
+            return Err(DmuError::NoWeights);
+        }
+        if let Some(index) = weights.iter().position(|w| !w.is_finite()) {
+            return Err(DmuError::NonFiniteWeight { index });
+        }
+        if !bias.is_finite() {
+            return Err(DmuError::NonFiniteBias);
+        }
+        Ok(Self { weights, bias })
     }
 
     /// Number of input scores.
@@ -343,6 +391,14 @@ impl Dmu {
     }
 }
 
+impl<'de> Deserialize<'de> for Dmu {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let weights = Vec::<f32>::from_value(value.get_field("weights")?)?;
+        let bias = f32::from_value(value.get_field("bias")?)?;
+        Self::try_with_weights(weights, bias).map_err(serde::Error::custom)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,6 +528,86 @@ mod tests {
     fn zero_classes_rejected() {
         let _ = Dmu::new(0);
     }
+
+    /// Serialises `dmu`, applies `mutate` to its field `name`, and
+    /// loads the result back.
+    fn reload_with(
+        dmu: &Dmu,
+        name: &str,
+        mutate: impl FnOnce(&mut Value),
+    ) -> Result<Dmu, serde::Error> {
+        let mut value = dmu.to_value();
+        let Value::Map(fields) = &mut value else {
+            panic!("Dmu must serialise to an object")
+        };
+        let (_, field) = fields.iter_mut().find(|(k, _)| k == name).unwrap();
+        mutate(field);
+        Dmu::from_value(&value)
+    }
+
+    fn assert_rejected(got: Result<Dmu, serde::Error>, want: DmuError) {
+        let err = got.expect_err("malformed DMU must be rejected");
+        assert_eq!(err.to_string(), want.to_string());
+    }
+
+    /// Binary-exact parameters, so the golden text below is exact.
+    fn sample_dmu() -> Dmu {
+        Dmu::with_weights(vec![0.5, -0.25, 0.75, 0.125, -1.0], 0.25)
+    }
+
+    #[test]
+    fn deserialize_round_trips_and_keeps_the_format() {
+        let dmu = sample_dmu();
+        let text = serde_json::to_string(&dmu).unwrap();
+        assert_eq!(
+            text,
+            r#"{"weights":[0.5,-0.25,0.75,0.125,-1.0],"bias":0.25}"#
+        );
+        assert_eq!(serde_json::from_str::<Dmu>(&text).unwrap(), dmu);
+    }
+
+    #[test]
+    fn deserialize_rejects_empty_weights() {
+        assert_rejected(
+            reload_with(&sample_dmu(), "weights", |w| *w = Value::Seq(Vec::new())),
+            DmuError::NoWeights,
+        );
+        assert_eq!(
+            Dmu::try_with_weights(Vec::new(), 0.0),
+            Err(DmuError::NoWeights)
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_non_finite_weight() {
+        assert_rejected(
+            reload_with(&sample_dmu(), "weights", |w| {
+                let Value::Seq(items) = w else {
+                    panic!("weights must serialise to an array")
+                };
+                items[2] = Value::Float(f64::NAN);
+            }),
+            DmuError::NonFiniteWeight { index: 2 },
+        );
+        assert_eq!(
+            Dmu::try_with_weights(vec![0.0, f32::INFINITY], 0.0),
+            Err(DmuError::NonFiniteWeight { index: 1 })
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_non_finite_bias() {
+        assert_rejected(
+            reload_with(&sample_dmu(), "bias", |b| {
+                *b = Value::Float(f64::NEG_INFINITY)
+            }),
+            DmuError::NonFiniteBias,
+        );
+        assert_eq!(
+            Dmu::try_with_weights(vec![1.0], f32::NAN),
+            Err(DmuError::NonFiniteBias)
+        );
+    }
 }
 
 /// Untrained confidence baselines for DMU ablations.
@@ -583,9 +719,11 @@ pub mod baselines {
 /// host speed, so given a host budget the integrator picks the highest
 /// threshold whose rerun load the host can absorb.
 ///
-/// [`select_threshold_for_rerun`] picks from a sweep the largest
-/// threshold whose rerun ratio stays within `budget`;
-/// [`select_threshold_for_throughput`] converts a system throughput
+/// [`select_threshold_for_rerun`](selection::select_threshold_for_rerun)
+/// picks from a sweep the largest threshold whose rerun ratio stays
+/// within `budget`;
+/// [`select_threshold_for_throughput`](selection::select_threshold_for_throughput)
+/// converts a system throughput
 /// target into that budget via eq. (1).
 pub mod selection {
     use crate::dmu::ConfusionQuadrants;

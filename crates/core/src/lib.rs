@@ -63,7 +63,7 @@ pub mod stats;
 pub use cascade::{
     gate_accepts, CascadePolicy, CascadeShape, CascadeStage, StageClassifier, StageShape,
 };
-pub use dmu::{ConfusionQuadrants, Dmu};
+pub use dmu::{ConfusionQuadrants, Dmu, DmuError};
 pub use error::CoreError;
 pub use fault::{
     CircuitBreaker, DegradationPolicy, DegradationStats, FaultEvent, FaultInjector, FaultKind,

@@ -2,20 +2,25 @@
 //!
 //! The FPGA (the [`HardwareBnn`] functional model) classifies every
 //! image; the DMU flags low-confidence classifications; the host network
-//! re-infers the flagged subset. All execution variants are driven by
-//! [`MultiPrecisionPipeline::execute`] with a [`RunOptions`] builder:
+//! re-infers the flagged subset. That is the 2-stage instance of a
+//! confidence cascade ([`CascadePolicy::dmu`]), and every run is driven
+//! by [`MultiPrecisionPipeline::execute`] with a [`RunOptions`] builder:
 //!
-//! - [`Concurrency::Modeled`] computes the functional result and a
-//!   **modelled** execution time that replays the paper's
+//! - [`Concurrency::Modeled`] runs any [`CascadePolicy`] (the
+//!   constructor threshold is the default `CascadePolicy::dmu(t)`) and
+//!   reports a **modelled** execution time that replays the paper's
 //!   `async(1)`/`wait(1)` batch overlap: while the FPGA processes batch
 //!   `i`, the host re-infers the images flagged in batch `i−1`;
-//! - [`Concurrency::Threaded`] actually executes the two sides on
-//!   separate threads connected by a **bounded** channel, demonstrating
+//! - [`Concurrency::Threaded`] schedules the same 2-stage, 1-bit policy
+//!   on two threads connected by a **bounded** channel, demonstrating
 //!   the concurrent structure of Fig. 2 (its wall-clock time reflects
 //!   this machine, not the ZC702).
 //!
+//! Both executors build their [`PipelineResult`] through one function
+//! fed with per-stage traffic, so the two agree field for field.
+//!
 //! The threaded executor is built for a *misbehaving* host:
-//! [`RunOptions::with_faults`] injects a seeded [`FaultPlan`] under a
+//! [`RunOptions::with_faults`] injects a seeded [`FaultPlan`](crate::fault::FaultPlan) under a
 //! [`RunOptions::with_degradation`] policy, and the pipeline guarantees
 //! that every image still receives a prediction — recoverable host
 //! faults (errors, latency spikes, even worker death) degrade the
@@ -25,9 +30,10 @@
 //!
 //! Every run is observable: [`RunOptions::with_recorder`] attaches an
 //! [`mp_obs::Recorder`] that receives spans (whole run, BNN+DMU stage,
-//! host rerun batches, per-engine and per-layer timings), counters,
-//! latency histograms and typed events — with bit-identical predictions
-//! and fault accounting whether recording is on or off.
+//! cascade stages, host rerun batches, per-engine and per-layer
+//! timings), counters, latency histograms and typed events — with
+//! bit-identical predictions and fault accounting whether recording is
+//! on or off.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,7 +41,6 @@ use crossbeam::channel::{self, TrySendError};
 
 use mp_bnn::HardwareBnn;
 use mp_dataset::Dataset;
-use mp_int::{CostLut, QuantBnn};
 use mp_nn::Network;
 use mp_obs::{now_ns, schema, ObsEvent, Recorder};
 use mp_tensor::{nan_aware_argmax, Parallelism, Shape, ShapeError, Tensor};
@@ -44,7 +49,7 @@ use crate::cascade::{gate_accepts, CascadePolicy, StageClassifier};
 use crate::dmu::{ConfusionQuadrants, Dmu};
 use crate::fault::{
     CircuitBreaker, DegradationPolicy, DegradationStats, FaultEvent, FaultInjector, FaultKind,
-    FaultPlan, HostFault, INJECTED_DEATH_MSG,
+    HostFault, INJECTED_DEATH_MSG,
 };
 use crate::model;
 use crate::run::{Concurrency, Precision, RunOptions};
@@ -88,8 +93,8 @@ impl PipelineTiming {
 /// stage, `accepted` how many its gate kept (the terminal stage accepts
 /// everything it receives). Host-side degradation under faults is *not*
 /// folded in here — it stays in
-/// [`PipelineResult::degraded_count`] — so the legacy threshold path
-/// and [`CascadePolicy::dmu`] report identical traffic under chaos.
+/// [`PipelineResult::degraded_count`] — so both executors report
+/// identical traffic for the same policy, under chaos too.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct StageTraffic {
     /// Stage label (shared with [`Precision::label`] /
@@ -140,10 +145,9 @@ pub struct PipelineResult {
     /// Downstream service-time models (`mp-fleet`) replay batches from
     /// this mask without re-running inference.
     pub flagged: Vec<bool>,
-    /// Per-stage traffic and modeled unit cost, in cascade order. The
-    /// legacy threshold path reports its implicit 2-stage cascade here
-    /// (low-precision stage, then `float32`), so every run is
-    /// cascade-shaped to observers.
+    /// Per-stage traffic and modeled unit cost, in cascade order. A
+    /// threshold run reports its 2-stage cascade here (low-precision
+    /// stage, then `float32`).
     pub stage_traffic: Vec<StageTraffic>,
     /// Wall-clock seconds when run with [`Concurrency::Threaded`].
     pub wall_seconds: Option<f64>,
@@ -165,69 +169,42 @@ pub struct PipelineResult {
     pub fault_log: Vec<FaultEvent>,
 }
 
-/// The multi-precision system: BNN + DMU + threshold.
+/// The multi-precision system: BNN + DMU + default decision policy.
 #[derive(Debug)]
 pub struct MultiPrecisionPipeline<'a> {
     hw: &'a HardwareBnn,
     dmu: &'a Dmu,
-    threshold: f32,
-    parallelism: Parallelism,
+    policy: CascadePolicy,
 }
 
 impl<'a> MultiPrecisionPipeline<'a> {
-    /// Creates a pipeline at a DMU confidence `threshold`.
-    ///
-    /// Host re-inference runs sequentially by default; see
-    /// [`with_parallelism`](Self::with_parallelism).
+    /// Creates a pipeline whose default decision policy is
+    /// [`CascadePolicy::dmu`]`(threshold)`;
+    /// [`RunOptions::with_cascade`] overrides it per run. Host
+    /// re-inference runs sequentially unless
+    /// [`RunOptions::with_parallelism`] says otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `threshold` is outside `[0, 1]`.
     pub fn new(hw: &'a HardwareBnn, dmu: &'a Dmu, threshold: f32) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "threshold must be in [0,1]"
-        );
         Self {
             hw,
             dmu,
-            threshold,
-            parallelism: Parallelism::sequential(),
+            policy: CascadePolicy::dmu(threshold),
         }
-    }
-
-    /// Shards host re-inference batches across `parallelism` worker
-    /// threads. Predictions are bit-identical for every setting, and the
-    /// fault log stays seed-deterministic: fault decisions depend only on
-    /// arrival order, `(image, attempt)` and breaker state, never on how
-    /// the deferred inference batch is sharded.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The DMU confidence threshold.
-    pub fn threshold(&self) -> f32 {
-        self.threshold
-    }
-
-    /// The host-side data parallelism.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Runs the pipeline as configured by `opts` — the single entry
     /// point behind every execution variant.
     ///
     /// With [`Concurrency::Modeled`] (the [`RunOptions::new`] default)
-    /// the full set runs BNN → DMU → host single-threaded and the
-    /// result carries the paper's modelled `async(1)`/`wait(1)` batch
-    /// time. With [`Concurrency::Threaded`] the FPGA simulator and the
-    /// host network run on separate threads connected by a channel
-    /// **bounded** by [`PipelineTiming::batch_size`], wall-clock time is
-    /// reported, and an injected [`FaultPlan`] exercises the degradation
-    /// machinery:
+    /// the cascade runs stage by stage and the result carries the
+    /// paper's modelled `async(1)`/`wait(1)` batch time. With
+    /// [`Concurrency::Threaded`] the FPGA simulator and the host network
+    /// run on separate threads connected by a channel **bounded** by
+    /// [`PipelineTiming::batch_size`], wall-clock time is reported, and
+    /// an injected [`FaultPlan`](crate::fault::FaultPlan) exercises the degradation machinery:
     ///
     /// - a stalled host back-pressures the producer (counted in
     ///   [`PipelineResult::backpressure_events`]) instead of queueing
@@ -247,7 +224,7 @@ impl<'a> MultiPrecisionPipeline<'a> {
     ///   flagged image falls back to the BNN, and the run completes.
     ///
     /// Every image therefore always receives a prediction, and with
-    /// [`FaultPlan::none`] the two modes are functionally identical.
+    /// [`FaultPlan::none`](crate::fault::FaultPlan::none) the two modes are functionally identical.
     ///
     /// The recorder attached via [`RunOptions::with_recorder`] receives
     /// the whole-run span, the BNN+DMU stage span, host-rerun batch
@@ -259,9 +236,10 @@ impl<'a> MultiPrecisionPipeline<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] when the effective threshold
-    /// is outside `[0, 1]` or a fault plan is combined with
-    /// [`Concurrency::Modeled`]; otherwise [`CoreError`] on shape
+    /// Returns [`CoreError::InvalidConfig`] when the DMU's class count
+    /// differs from the BNN's, a fault plan is combined with
+    /// [`Concurrency::Modeled`], or the policy or precision cannot run
+    /// on the selected executor; otherwise [`CoreError`] on shape
     /// inconsistencies, invalid plan/policy, or *real* (non-injected)
     /// host inference errors — never for recoverable injected faults.
     pub fn execute(
@@ -270,77 +248,52 @@ impl<'a> MultiPrecisionPipeline<'a> {
         data: &Dataset,
         opts: &RunOptions<'_>,
     ) -> Result<PipelineResult, CoreError> {
-        let mut threshold = opts.threshold().unwrap_or(self.threshold);
-        // Cascade resolution: the dmu-shaped policy IS the legacy
-        // threshold (bit-identical by construction, both executors,
-        // faults included); anything deeper takes the N-stage executor.
-        let mut general_cascade: Option<&CascadePolicy> = None;
-        if let Some(policy) = opts.cascade() {
-            if opts.threshold().is_some() {
-                return Err(CoreError::InvalidConfig(
-                    "with_threshold and with_cascade are mutually exclusive; \
-                     the threshold is CascadePolicy::dmu(t)"
-                        .into(),
-                ));
-            }
-            match policy.dmu_threshold() {
-                Some(t) => threshold = t,
-                None => general_cascade = Some(policy),
-            }
-        }
-        if !(0.0..=1.0).contains(&threshold) {
+        let (dmu_classes, bnn_classes) = (self.dmu.classes(), self.hw.topology().classes());
+        if dmu_classes != bnn_classes {
             return Err(CoreError::InvalidConfig(format!(
-                "threshold {threshold} outside [0,1]"
+                "the DMU gates on {dmu_classes} scores but the BNN emits {bnn_classes} classes"
             )));
         }
-        let par = opts.parallelism().unwrap_or(self.parallelism);
+        let policy = opts.cascade().unwrap_or(&self.policy);
+        let par = opts.parallelism().unwrap_or_else(Parallelism::sequential);
         let rec = opts.recorder();
         let t_exec = rec.enabled().then(now_ns);
-        let result = if let Some(policy) = general_cascade {
-            if opts.concurrency() == Concurrency::Threaded {
-                return Err(CoreError::InvalidConfig(format!(
-                    "a {}-stage cascade requires the modeled executor \
-                     (only the 2-stage dmu shape runs threaded)",
-                    policy.len()
-                )));
-            }
-            if !opts.fault_plan().is_none() {
-                return Err(CoreError::InvalidConfig(
-                    "fault injection requires the threaded executor \
-                     (RunOptions::threaded or with_faults)"
-                        .into(),
-                ));
-            }
-            if matches!(opts.precision(), Precision::Float32) {
-                return Err(CoreError::InvalidConfig(
-                    "Precision::Float32 cannot anchor a multi-stage cascade: \
-                     the DMU has no confidence signal for float logits"
-                        .into(),
-                ));
-            }
-            self.execute_cascade(host, data, opts, policy, par)?
-        } else {
-            match opts.concurrency() {
-                Concurrency::Modeled => {
-                    if !opts.fault_plan().is_none() {
-                        return Err(CoreError::InvalidConfig(
-                            "fault injection requires the threaded executor \
-                             (RunOptions::threaded or with_faults)"
-                                .into(),
-                        ));
-                    }
-                    self.execute_modeled(host, data, opts, threshold, par)?
+        let result = match opts.concurrency() {
+            Concurrency::Modeled => {
+                if !opts.fault_plan().is_none() {
+                    return Err(CoreError::InvalidConfig(
+                        "fault injection requires the threaded executor \
+                         (RunOptions::threaded or with_faults)"
+                            .into(),
+                    ));
                 }
-                Concurrency::Threaded => {
-                    if !opts.precision().is_one_bit() {
-                        return Err(CoreError::InvalidConfig(format!(
-                            "precision {} requires the modeled executor (the quantized \
-                             and float corners are priced analytically, not threaded)",
-                            opts.precision().label()
-                        )));
-                    }
-                    self.execute_threaded(host, data, opts, threshold, par)?
+                if matches!(opts.precision(), Precision::Float32)
+                    && policy.dmu_threshold().is_none()
+                {
+                    return Err(CoreError::InvalidConfig(
+                        "Precision::Float32 runs only the 2-stage dmu cascade: \
+                         the DMU has no confidence signal for float logits"
+                            .into(),
+                    ));
                 }
+                self.execute_cascade(host, data, opts, policy, par)?
+            }
+            Concurrency::Threaded => {
+                let Some(threshold) = policy.dmu_threshold() else {
+                    return Err(CoreError::InvalidConfig(format!(
+                        "a {}-stage cascade requires the modeled executor \
+                         (only the 2-stage dmu shape runs threaded)",
+                        policy.len()
+                    )));
+                };
+                if !opts.precision().is_one_bit() {
+                    return Err(CoreError::InvalidConfig(format!(
+                        "precision {} requires the modeled executor (the quantized \
+                         and float corners are priced analytically, not threaded)",
+                        opts.precision().label()
+                    )));
+                }
+                self.execute_threaded(host, data, opts, policy, threshold, par)?
             }
         };
         if let Some(start) = t_exec {
@@ -350,128 +303,8 @@ impl<'a> MultiPrecisionPipeline<'a> {
         Ok(result)
     }
 
-    /// Runs the full set through BNN → DMU → host, with modelled timing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on shape inconsistencies.
-    #[deprecated(since = "0.2.0", note = "use `execute` with `RunOptions`")]
-    pub fn run(
-        &self,
-        host: &Network,
-        data: &Dataset,
-        timing: &PipelineTiming,
-        host_global_accuracy: f64,
-    ) -> Result<PipelineResult, CoreError> {
-        self.execute(
-            host,
-            data,
-            &RunOptions::new(*timing).with_host_accuracy(host_global_accuracy),
-        )
-    }
-
-    /// Runs with the FPGA simulator and the host network on separate
-    /// threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on shape inconsistencies.
-    #[deprecated(since = "0.2.0", note = "use `execute` with `RunOptions::threaded`")]
-    pub fn run_parallel(
-        &self,
-        host: &Network,
-        data: &Dataset,
-        timing: &PipelineTiming,
-        host_global_accuracy: f64,
-    ) -> Result<PipelineResult, CoreError> {
-        self.execute(
-            host,
-            data,
-            &RunOptions::new(*timing)
-                .threaded()
-                .with_host_accuracy(host_global_accuracy),
-        )
-    }
-
-    /// The chaos-ready parallel executor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on shape inconsistencies, invalid
-    /// plan/policy, or real (non-injected) host inference errors.
-    #[deprecated(since = "0.2.0", note = "use `execute` with `RunOptions::with_faults`")]
-    pub fn run_parallel_with(
-        &self,
-        host: &Network,
-        data: &Dataset,
-        timing: &PipelineTiming,
-        host_global_accuracy: f64,
-        plan: &FaultPlan,
-        policy: &DegradationPolicy,
-    ) -> Result<PipelineResult, CoreError> {
-        self.execute(
-            host,
-            data,
-            &RunOptions::new(*timing)
-                .with_host_accuracy(host_global_accuracy)
-                .with_faults(plan.clone())
-                .with_degradation(*policy),
-        )
-    }
-
-    /// The [`Concurrency::Modeled`] executor body.
-    fn execute_modeled(
-        &self,
-        host: &Network,
-        data: &Dataset,
-        opts: &RunOptions<'_>,
-        threshold: f32,
-        par: Parallelism,
-    ) -> Result<PipelineResult, CoreError> {
-        let rec = opts.recorder();
-        let (stage, timing) = match opts.precision() {
-            Precision::OneBit => (
-                self.classify_and_flag(data, threshold, par, rec)?,
-                *opts.timing(),
-            ),
-            Precision::Quantized(quant) => {
-                let stage = self.classify_and_flag_quant(quant, data, threshold, par, rec)?;
-                // Quantized MACs take extra cycles; the MAC-weighted MPIC
-                // factor scales the BNN side of the batch-overlap model
-                // (exactly 1 at the 1-bit corner).
-                let factor = quant.network_cost_factor(&CostLut::mpic());
-                let t = opts.timing();
-                (
-                    stage,
-                    PipelineTiming::new(t.t_bnn_img_s * factor, t.t_fp_img_s, t.batch_size),
-                )
-            }
-            Precision::Float32 => {
-                // The float corner: the 1-bit stage still classifies (so
-                // BNN accuracy and DMU quadrants stay reported), but every
-                // image is flagged to the host — final predictions and
-                // throughput degenerate to the host model's.
-                let mut stage = self.classify_and_flag(data, threshold, par, rec)?;
-                stage.flag_all();
-                (stage, *opts.timing())
-            }
-        };
-        let rerun_indices: Vec<usize> = stage.flagged_indices();
-        let host_preds = infer_host_subset(host, data, &rerun_indices, par, rec)?;
-        self.finish(
-            data,
-            &timing,
-            opts.host_accuracy(),
-            opts.precision().label(),
-            stage,
-            rerun_indices,
-            host_preds,
-            None,
-            DegradationStats::default(),
-        )
-    }
-
-    /// The N-stage cascade executor ([`Concurrency::Modeled`] only).
+    /// The [`Concurrency::Modeled`] executor: runs `policy` stage by
+    /// stage.
     ///
     /// Each stage scores exactly the images escalated to it, the DMU
     /// estimates a confidence from the stage's normalised scores, and
@@ -479,8 +312,9 @@ impl<'a> MultiPrecisionPipeline<'a> {
     /// passes — a poisoned confidence escalates). The terminal stage
     /// accepts everything. Stage 0 always sees the full set, so the
     /// BNN-side accounting (`bnn_accuracy`, DMU quadrants, `flagged`)
-    /// keeps its legacy meaning: correctness and acceptance of the
-    /// first stage.
+    /// is the correctness and acceptance of the first stage. The float32
+    /// corner is the 2-stage policy whose stage 0 runs the 1-bit engine
+    /// and accepts nothing, so every image reaches the host.
     fn execute_cascade(
         &self,
         host: &Network,
@@ -492,197 +326,80 @@ impl<'a> MultiPrecisionPipeline<'a> {
         let rec = opts.recorder();
         let n = data.len();
         let labels = data.labels();
-        let shape = policy.shape(opts.precision(), opts.timing());
-        let stages = policy.stages();
+        let float_corner = matches!(opts.precision(), Precision::Float32);
+        let mut run = RunRecord::new(n);
         let mut active: Vec<usize> = (0..n).collect();
-        let mut entered_masks: Vec<Vec<bool>> = Vec::with_capacity(stages.len());
-        let mut traffic: Vec<StageTraffic> = Vec::with_capacity(stages.len());
-        let mut final_preds: Vec<usize> = vec![0; n];
-        let mut stage0_preds: Vec<usize> = vec![0; n];
-        let mut kept0: Vec<bool> = vec![false; n];
-        let mut rerun_indices: Vec<usize> = Vec::new();
-        let mut host_preds: Vec<usize> = Vec::new();
-        let mut upgrades: Vec<(f64, f64, f64)> = Vec::new();
-        // Correct-at-previous-stage images that its gate escalated — the
-        // `E_s` loss term of the generalised eq. (2).
-        let mut escalated_correct_prev = 0usize;
-        let denom = n.max(1) as f64;
-        for (s, stage) in stages.iter().enumerate() {
-            let entered = active.len();
-            let mut entered_mask = vec![false; n];
-            for &i in &active {
-                entered_mask[i] = true;
+        for (s, stage) in policy.stages().iter().enumerate() {
+            if active.is_empty() && s > 0 {
+                active = run.push_stage(labels, &active, &[], |_| true);
+                continue;
             }
-            let enter_frac = entered as f64 / denom;
-            let is_host = matches!(stage.classifier, StageClassifier::HostFloat);
-            let (preds_sub, conf_sub): (Vec<usize>, Vec<f32>) = if entered == 0 {
-                (Vec::new(), Vec::new())
-            } else {
-                let t0 = rec.enabled().then(now_ns);
-                let scored = match &stage.classifier {
-                    StageClassifier::HostFloat => {
-                        let preds = infer_host_subset(host, data, &active, par, rec)?;
-                        (preds, Vec::new())
-                    }
-                    classifier => {
-                        let subset = data.select(&active)?;
-                        let scores = match classifier {
-                            StageClassifier::Primary => match opts.precision() {
-                                Precision::OneBit => self
-                                    .hw
-                                    .infer_batch_obs(subset.images(), par, rec)
-                                    .map_err(CoreError::fpga)?,
-                                Precision::Quantized(q) => q
-                                    .infer_batch_obs(subset.images(), par, rec)
-                                    .map_err(CoreError::fpga)?,
-                                // Rejected by `execute` before dispatch.
-                                Precision::Float32 => unreachable!(
-                                    "Float32 primary is rejected for multi-stage cascades"
-                                ),
-                            },
-                            StageClassifier::Quantized(q) => q
-                                .infer_batch_obs(subset.images(), par, rec)
-                                .map_err(CoreError::fpga)?,
-                            StageClassifier::HostFloat => unreachable!(),
-                        };
-                        let preds = Network::argmax_rows(&scores)?;
-                        let conf = self.dmu.predict_batch(&scores)?;
-                        (preds, conf)
-                    }
-                };
-                if let Some(start) = t0 {
-                    rec.record_span(&schema::cascade_stage_span(s), start, now_ns());
+            let t0 = rec.enabled().then(now_ns);
+            let (preds, conf) = match &stage.classifier {
+                StageClassifier::HostFloat => {
+                    run.reruns.extend_from_slice(&active);
+                    (
+                        infer_host_subset(host, data, &active, par, rec)?,
+                        Vec::new(),
+                    )
                 }
-                scored
+                classifier => {
+                    // When every image enters (always at stage 0) the
+                    // stage classifies the dataset in place, no gather.
+                    let gathered;
+                    let images = if active.len() == n {
+                        data.images()
+                    } else {
+                        gathered = data.select(&active)?;
+                        gathered.images()
+                    };
+                    // `Primary` is the run precision's engine; the float32
+                    // corner's stage 0 runs the 1-bit engine.
+                    let scores = match (classifier, opts.precision()) {
+                        (StageClassifier::Quantized(q), _)
+                        | (StageClassifier::Primary, Precision::Quantized(q)) => {
+                            q.infer_batch_obs(images, par, rec)
+                        }
+                        _ => self.hw.infer_batch_obs(images, par, rec),
+                    }
+                    .map_err(CoreError::fpga)?;
+                    (
+                        Network::argmax_rows(&scores)?,
+                        self.dmu.predict_batch(&scores)?,
+                    )
+                }
             };
-            let mut next_active = Vec::new();
-            let mut accepted = 0usize;
-            let mut correct_in = 0usize;
-            let mut escalated_correct = 0usize;
-            for (j, &i) in active.iter().enumerate() {
-                let pred = preds_sub[j];
+            if let Some(start) = t0 {
+                let end = now_ns();
                 if s == 0 {
-                    stage0_preds[i] = pred;
+                    rec.record_span(schema::SPAN_PIPELINE_BNN_STAGE, start, end);
                 }
-                let is_correct = pred == labels[i];
-                if is_correct {
-                    correct_in += 1;
-                }
-                let accept = match stage.gate {
-                    None => true,
-                    Some(g) => gate_accepts(conf_sub[j], g),
-                };
-                if accept {
-                    accepted += 1;
-                    final_preds[i] = pred;
-                    if s == 0 {
-                        kept0[i] = true;
-                    }
-                    if is_host {
-                        rerun_indices.push(i);
-                        host_preds.push(pred);
-                    }
-                } else {
-                    if is_correct {
-                        escalated_correct += 1;
-                    }
-                    next_active.push(i);
-                }
+                rec.record_span(&schema::cascade_stage_span(s), start, end);
             }
-            if s > 0 {
-                // Host stages use the caller's global host accuracy (the
-                // paper's optimistic eq. (2) form); other stages use
-                // their measured entering-subset accuracy.
-                let acc_s = if is_host {
-                    opts.host_accuracy()
-                } else if entered == 0 {
-                    0.0
-                } else {
-                    correct_in as f64 / entered as f64
-                };
-                upgrades.push((acc_s, enter_frac, escalated_correct_prev as f64 / denom));
-            }
-            escalated_correct_prev = escalated_correct;
-            traffic.push(StageTraffic {
-                label: shape.stages[s].label.clone(),
-                entered,
-                accepted,
-                entered_frac: enter_frac,
-                accepted_frac: accepted as f64 / denom,
-                unit_cost_s: shape.stages[s].unit_cost_s,
+            let accepts_nothing = s == 0 && float_corner;
+            active = run.push_stage(labels, &active, &preds, |j| match stage.gate {
+                None => true,
+                Some(g) => !accepts_nothing && gate_accepts(conf[j], g),
             });
-            entered_masks.push(entered_mask);
-            active = next_active;
         }
-        let bnn_correct: Vec<bool> = stage0_preds
-            .iter()
-            .zip(labels)
-            .map(|(p, l)| p == l)
-            .collect();
-        let quadrants = ConfusionQuadrants::tally(&bnn_correct, &kept0);
-        let bnn_accuracy = bnn_correct.iter().filter(|&&c| c).count() as f64 / denom;
-        let accuracy = final_preds
-            .iter()
-            .zip(labels)
-            .filter(|(p, l)| p == l)
-            .count() as f64
-            / denom;
-        let host_hits = rerun_indices
-            .iter()
-            .zip(&host_preds)
-            .filter(|(&i, &p)| p == labels[i])
-            .count();
-        let host_subset_accuracy = if rerun_indices.is_empty() {
-            None
-        } else {
-            Some(host_hits as f64 / rerun_indices.len() as f64)
-        };
-        let unit_costs: Vec<f64> = shape.stages.iter().map(|s| s.unit_cost_s).collect();
-        let modeled_time_s =
-            modeled_cascade_time(&entered_masks, &unit_costs, opts.timing().batch_size);
-        // Eq. (1) generalised: f_0 = 1 by convention (stage 0 always
-        // sees the full stream in steady state).
-        let mut analytic_fracs: Vec<f64> = traffic.iter().map(|t| t.entered_frac).collect();
-        analytic_fracs[0] = 1.0;
-        Ok(PipelineResult {
-            total_images: n,
-            accuracy,
-            bnn_accuracy,
-            host_subset_accuracy,
-            quadrants,
-            rerun_count: rerun_indices.len(),
-            modeled_time_s,
-            modeled_images_per_sec: n as f64 / modeled_time_s.max(f64::MIN_POSITIVE),
-            analytic_images_per_sec: 1.0
-                / model::interval_per_image_n(&unit_costs, &analytic_fracs),
-            analytic_accuracy_eq2: model::accuracy_eq2_n(bnn_accuracy, &upgrades),
-            predictions: final_preds,
-            flagged: kept0.iter().map(|&k| !k).collect(),
-            stage_traffic: traffic,
-            wall_seconds: None,
-            degraded_count: 0,
-            retries: 0,
-            breaker_trips: 0,
-            host_attempts: 0,
-            backpressure_events: 0,
-            virtual_backoff_s: 0.0,
-            fault_log: Vec::new(),
-        })
+        Ok(run.into_result(data, policy, opts, None, DegradationStats::default()))
     }
 
-    /// The [`Concurrency::Threaded`] executor body.
+    /// The [`Concurrency::Threaded`] executor: the 2-stage `policy`
+    /// (stage 0 gated at `threshold`) on two threads.
     fn execute_threaded(
         &self,
         host: &Network,
         data: &Dataset,
         opts: &RunOptions<'_>,
+        policy: &CascadePolicy,
         threshold: f32,
         par: Parallelism,
     ) -> Result<PipelineResult, CoreError> {
         let timing = opts.timing();
-        let policy = opts.degradation_policy();
+        let degradation = opts.degradation_policy();
         let rec = opts.recorder();
-        policy.validate()?;
+        degradation.validate()?;
         let injector = FaultInjector::new(opts.fault_plan().clone())?;
         if injector.host_death_after().is_some() {
             // A planned kill is expected noise, not a crash report.
@@ -693,7 +410,7 @@ impl<'a> MultiPrecisionPipeline<'a> {
         // Satellite fix: bounded channel sized from the FPGA batch, so a
         // stalled host applies back-pressure instead of growing memory.
         let (tx, rx) = channel::bounded::<(usize, Tensor)>(timing.batch_size);
-        let policy = *policy;
+        let degradation = *degradation;
         let injector_ref = &injector;
         // The crossbeam stub channel exposes no occupancy, so the queue
         // depth is mirrored in an atomic — maintained only while a
@@ -702,12 +419,13 @@ impl<'a> MultiPrecisionPipeline<'a> {
         let depth_obs: Option<(&dyn Recorder, &AtomicUsize)> =
             rec.enabled().then_some((rec, &queue_depth));
         type WorkerJoin = Result<HostWorkerOutput, CoreError>;
-        let (stage, backpressure_events, worker_out) = std::thread::scope(
-            |scope| -> Result<(StageOutput, usize, WorkerJoin), CoreError> {
+        type Produced = (Vec<usize>, Vec<bool>, usize, WorkerJoin);
+        let (bnn_preds, kept, backpressure_events, worker_out) =
+            std::thread::scope(|scope| -> Result<Produced, CoreError> {
                 // Host worker: re-infers flagged images as they arrive,
                 // applying the degradation policy per image.
                 let worker = scope.spawn(move || -> Result<HostWorkerOutput, CoreError> {
-                    host_worker_loop(host, rx, injector_ref, &policy, par, depth_obs)
+                    host_worker_loop(host, rx, injector_ref, &degradation, par, depth_obs)
                 });
                 // "FPGA" side: the block-pipelined stage graph. The BNN
                 // runs the batched `IMG_BLOCK` fast path over one block
@@ -718,7 +436,8 @@ impl<'a> MultiPrecisionPipeline<'a> {
                 // overlap. Flagged images are still sent one at a time in
                 // index order, so the worker loop, fault arrival order,
                 // and channel backpressure semantics are unchanged.
-                let mut stage = StageOutput::with_capacity(n);
+                let mut bnn_preds = Vec::with_capacity(n);
+                let mut kept = Vec::with_capacity(n);
                 let mut backpressure_events = 0usize;
                 let mut worker_gone = false;
                 let classes = self.hw.topology().classes();
@@ -762,7 +481,8 @@ impl<'a> MultiPrecisionPipeline<'a> {
                         })?;
                         let p = self.dmu.predict_with_scratch(row, &mut feats);
                         let keep = gate_accepts(p, threshold);
-                        stage.push(pred, keep);
+                        bnn_preds.push(pred);
+                        kept.push(keep);
                         if !keep && !worker_gone {
                             let image = data.images().batch_item(i)?;
                             // Count the item before it becomes visible to
@@ -829,9 +549,8 @@ impl<'a> MultiPrecisionPipeline<'a> {
                         Err(CoreError::HostWorker(detail))
                     }
                 };
-                Ok((stage, backpressure_events, joined))
-            },
-        )?;
+                Ok((bnn_preds, kept, backpressure_events, joined))
+            })?;
         let mut stats = DegradationStats {
             backpressure_events,
             ..DegradationStats::default()
@@ -853,192 +572,207 @@ impl<'a> MultiPrecisionPipeline<'a> {
             // Real host inference errors keep their zero-fault contract.
             Err(other) => return Err(other),
         };
+        let labels = data.labels();
+        let mut run = RunRecord::new(n);
+        let all: Vec<usize> = (0..n).collect();
+        let flagged = run.push_stage(labels, &all, &bnn_preds, |i| kept[i]);
         // Reconcile: flagged images with a successful host prediction
         // are reruns; everything else flagged degrades to its BNN
-        // prediction.
+        // prediction. The host stage still accepts every image that
+        // entered it, so traffic counts gate decisions only.
         let mut delivered: Vec<Option<Result<usize, FaultKind>>> = vec![None; n];
         for (i, outcome) in outcomes {
             delivered[i] = Some(outcome);
         }
-        let mut rerun_indices = Vec::new();
-        let mut host_preds = Vec::new();
-        for i in stage.flagged_indices() {
-            match delivered[i] {
+        let mut host_stage_preds = Vec::with_capacity(flagged.len());
+        for &i in &flagged {
+            host_stage_preds.push(match delivered[i] {
                 Some(Ok(p)) => {
-                    rerun_indices.push(i);
-                    host_preds.push(p);
+                    run.reruns.push(i);
+                    p
                 }
-                Some(Err(_)) => stats.degraded_count += 1,
+                Some(Err(_)) => {
+                    stats.degraded_count += 1;
+                    bnn_preds[i]
+                }
                 None => {
                     stats.degraded_count += 1;
                     stats.fault_log.push(FaultEvent::Fallback {
                         image: i,
                         kind: FaultKind::HostWorkerDeath,
                     });
+                    bnn_preds[i]
                 }
+            });
+        }
+        run.push_stage(labels, &flagged, &host_stage_preds, |_| true);
+        let wall = start.elapsed().as_secs_f64();
+        Ok(run.into_result(data, policy, opts, Some(wall), stats))
+    }
+}
+
+/// What one run decided, per image and per cascade stage — the record
+/// both executors build and turn into a [`PipelineResult`] through
+/// [`RunRecord::into_result`].
+struct RunRecord {
+    /// Stage-0 prediction per image.
+    first_preds: Vec<usize>,
+    /// Final prediction per image.
+    predictions: Vec<usize>,
+    /// Images whose final prediction came from the host, in stage order.
+    reruns: Vec<usize>,
+    /// One record per cascade stage, in escalation order.
+    stages: Vec<StageRecord>,
+}
+
+/// One cascade stage's traffic and correctness counts.
+struct StageRecord {
+    /// `entered[i]` is `true` where image `i` reached this stage.
+    entered: Vec<bool>,
+    /// Images the stage's gate accepted.
+    accepted: usize,
+    /// Entering images the stage classified correctly.
+    correct: usize,
+    /// Images the stage classified correctly but escalated — the `E_s`
+    /// term of the next stage in the generalised eq. (2).
+    escalated_correct: usize,
+}
+
+impl RunRecord {
+    fn new(n: usize) -> Self {
+        Self {
+            first_preds: vec![0; n],
+            predictions: vec![0; n],
+            reruns: Vec::new(),
+            stages: Vec::new(),
+        }
+    }
+
+    /// Records the next stage: it classified image `active[j]` as
+    /// `preds[j]` and its gate accepted where `accept(j)` holds.
+    /// Returns the images it escalated, in order.
+    fn push_stage(
+        &mut self,
+        labels: &[usize],
+        active: &[usize],
+        preds: &[usize],
+        accept: impl Fn(usize) -> bool,
+    ) -> Vec<usize> {
+        let first = self.stages.is_empty();
+        let mut stage = StageRecord {
+            entered: vec![false; labels.len()],
+            accepted: 0,
+            correct: 0,
+            escalated_correct: 0,
+        };
+        let mut escalated = Vec::new();
+        for (j, (&i, &pred)) in active.iter().zip(preds).enumerate() {
+            stage.entered[i] = true;
+            if first {
+                self.first_preds[i] = pred;
+            }
+            let correct = usize::from(pred == labels[i]);
+            stage.correct += correct;
+            if accept(j) {
+                stage.accepted += 1;
+                self.predictions[i] = pred;
+            } else {
+                stage.escalated_correct += correct;
+                escalated.push(i);
             }
         }
-        let wall = start.elapsed().as_secs_f64();
-        self.finish(
-            data,
-            timing,
-            opts.host_accuracy(),
-            opts.precision().label(),
-            stage,
-            rerun_indices,
-            host_preds,
-            Some(wall),
-            stats,
-        )
+        self.stages.push(stage);
+        escalated
     }
 
-    fn classify_and_flag(
-        &self,
+    /// Scores the record against `data`'s labels and prices it under
+    /// `policy` and `opts`: accuracies, DMU quadrants, per-stage
+    /// traffic, the modelled batch-overlapped time and the generalised
+    /// eqs. (1)–(2).
+    fn into_result(
+        self,
         data: &Dataset,
-        threshold: f32,
-        par: Parallelism,
-        rec: &dyn Recorder,
-    ) -> Result<StageOutput, CoreError> {
-        let t0 = rec.enabled().then(now_ns);
-        let scores = self
-            .hw
-            .infer_batch_obs(data.images(), par, rec)
-            .map_err(CoreError::fpga)?;
-        let preds = Network::argmax_rows(&scores)?;
-        let keep_flags = self.dmu.estimate_batch(&scores, threshold)?;
-        if let Some(start) = t0 {
-            rec.record_span(schema::SPAN_PIPELINE_BNN_STAGE, start, now_ns());
-        }
-        let mut stage = StageOutput::with_capacity(data.len());
-        for (p, k) in preds.into_iter().zip(keep_flags) {
-            stage.push(p, k);
-        }
-        Ok(stage)
-    }
-
-    /// [`classify_and_flag`](Self::classify_and_flag) with the
-    /// multi-precision integer path in place of the 1-bit engine: the
-    /// [`QuantBnn`] scores every image (normalised to the 1-bit scale,
-    /// so the DMU's confidence estimate transfers) and the DMU flags on
-    /// those scores.
-    fn classify_and_flag_quant(
-        &self,
-        quant: &QuantBnn,
-        data: &Dataset,
-        threshold: f32,
-        par: Parallelism,
-        rec: &dyn Recorder,
-    ) -> Result<StageOutput, CoreError> {
-        let t0 = rec.enabled().then(now_ns);
-        let scores = quant
-            .infer_batch_obs(data.images(), par, rec)
-            .map_err(CoreError::fpga)?;
-        let preds = Network::argmax_rows(&scores)?;
-        let keep_flags = self.dmu.estimate_batch(&scores, threshold)?;
-        if let Some(start) = t0 {
-            rec.record_span(schema::SPAN_PIPELINE_BNN_STAGE, start, now_ns());
-        }
-        let mut stage = StageOutput::with_capacity(data.len());
-        for (p, k) in preds.into_iter().zip(keep_flags) {
-            stage.push(p, k);
-        }
-        Ok(stage)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        data: &Dataset,
-        timing: &PipelineTiming,
-        host_global_accuracy: f64,
-        stage0_label: String,
-        stage: StageOutput,
-        rerun_indices: Vec<usize>,
-        host_preds: Vec<usize>,
+        policy: &CascadePolicy,
+        opts: &RunOptions<'_>,
         wall_seconds: Option<f64>,
         stats: DegradationStats,
-    ) -> Result<PipelineResult, CoreError> {
-        let n = data.len();
+    ) -> PipelineResult {
         let labels = data.labels();
-        let bnn_correct: Vec<bool> = stage
-            .bnn_preds
+        let n = labels.len();
+        let denom = n.max(1) as f64;
+        let shape = policy.shape(opts.precision(), opts.timing());
+        // Stage 0 flags exactly the images that enter stage 1.
+        let flagged = self
+            .stages
+            .get(1)
+            .map_or_else(|| vec![false; n], |s| s.entered.clone());
+        let kept: Vec<bool> = flagged.iter().map(|&f| !f).collect();
+        let bnn_correct: Vec<bool> = self
+            .first_preds
             .iter()
             .zip(labels)
             .map(|(p, l)| p == l)
             .collect();
-        let quadrants = ConfusionQuadrants::tally(&bnn_correct, &stage.kept);
-        // Merge host predictions over BNN predictions; degraded images
-        // keep their BNN prediction.
-        let mut final_preds = stage.bnn_preds.clone();
-        let mut host_hits = 0usize;
-        for (&idx, &pred) in rerun_indices.iter().zip(&host_preds) {
-            final_preds[idx] = pred;
-            if pred == labels[idx] {
-                host_hits += 1;
-            }
-        }
-        let accuracy = final_preds
+        let bnn_accuracy = bnn_correct.iter().filter(|&&c| c).count() as f64 / denom;
+        let correct = |i: &usize| self.predictions[*i] == labels[*i];
+        let accuracy = (0..n).filter(correct).count() as f64 / denom;
+        // `None` instead of a misleading `0.0` when nothing reran.
+        let host_subset_accuracy = (!self.reruns.is_empty()).then(|| {
+            self.reruns.iter().filter(|&i| correct(i)).count() as f64 / self.reruns.len() as f64
+        });
+        let stage_traffic: Vec<StageTraffic> = self
+            .stages
             .iter()
-            .zip(labels)
-            .filter(|(p, l)| p == l)
-            .count() as f64
-            / n.max(1) as f64;
-        let bnn_accuracy = bnn_correct.iter().filter(|&&c| c).count() as f64 / n.max(1) as f64;
-        // Satellite fix: `None` instead of a misleading `0.0` when
-        // nothing reran.
-        let host_subset_accuracy = if rerun_indices.is_empty() {
-            None
-        } else {
-            Some(host_hits as f64 / rerun_indices.len() as f64)
-        };
-        let modeled_time_s = modeled_batch_time(&stage.kept, timing);
-        let rerun_ratio = quadrants.rerun_ratio();
-        let flagged: Vec<bool> = stage.kept.iter().map(|&k| !k).collect();
-        // The legacy path's implicit 2-stage cascade, in the shared
-        // naming scheme. `timing` is already cost-factor scaled, so the
-        // stage-0 unit cost is simply its BNN time. Traffic counts gate
-        // decisions: degraded images still *entered* the host stage.
-        let flagged_count = flagged.iter().filter(|&&f| f).count();
-        let denom = n.max(1) as f64;
-        let stage_traffic = vec![
-            StageTraffic {
-                label: stage0_label,
-                entered: n,
-                accepted: n - flagged_count,
-                entered_frac: if n == 0 { 0.0 } else { 1.0 },
-                accepted_frac: (n - flagged_count) as f64 / denom,
-                unit_cost_s: timing.t_bnn_img_s,
-            },
-            StageTraffic {
-                label: Precision::Float32.label(),
-                entered: flagged_count,
-                accepted: flagged_count,
-                entered_frac: flagged_count as f64 / denom,
-                accepted_frac: flagged_count as f64 / denom,
-                unit_cost_s: timing.t_fp_img_s,
-            },
-        ];
-        Ok(PipelineResult {
+            .zip(&shape.stages)
+            .map(|(r, s)| {
+                let entered = r.entered.iter().filter(|&&e| e).count();
+                StageTraffic {
+                    label: s.label.clone(),
+                    entered,
+                    accepted: r.accepted,
+                    entered_frac: entered as f64 / denom,
+                    accepted_frac: r.accepted as f64 / denom,
+                    unit_cost_s: s.unit_cost_s,
+                }
+            })
+            .collect();
+        // Eq. (2) generalised: host stages use the caller's global host
+        // accuracy (the paper's optimistic form); other stages use their
+        // measured entering-subset accuracy.
+        let upgrades: Vec<(f64, f64, f64)> = (1..self.stages.len())
+            .map(|s| {
+                let traffic = &stage_traffic[s];
+                let acc = if matches!(policy.stages()[s].classifier, StageClassifier::HostFloat) {
+                    opts.host_accuracy()
+                } else if traffic.entered == 0 {
+                    0.0
+                } else {
+                    self.stages[s].correct as f64 / traffic.entered as f64
+                };
+                let lost = self.stages[s - 1].escalated_correct as f64 / denom;
+                (acc, traffic.entered_frac, lost)
+            })
+            .collect();
+        // Eq. (1) generalised: f_0 = 1 by convention (stage 0 always
+        // sees the full stream in steady state).
+        let mut analytic_fracs: Vec<f64> = stage_traffic.iter().map(|t| t.entered_frac).collect();
+        analytic_fracs[0] = 1.0;
+        let unit_costs: Vec<f64> = shape.stages.iter().map(|s| s.unit_cost_s).collect();
+        let masks: Vec<Vec<bool>> = self.stages.into_iter().map(|s| s.entered).collect();
+        let modeled_time_s = modeled_cascade_time(&masks, &unit_costs, opts.timing().batch_size);
+        PipelineResult {
             total_images: n,
             accuracy,
             bnn_accuracy,
             host_subset_accuracy,
-            quadrants,
-            rerun_count: rerun_indices.len(),
+            quadrants: ConfusionQuadrants::tally(&bnn_correct, &kept),
+            rerun_count: self.reruns.len(),
             modeled_time_s,
             modeled_images_per_sec: n as f64 / modeled_time_s.max(f64::MIN_POSITIVE),
-            analytic_images_per_sec: model::images_per_sec(
-                timing.t_fp_img_s,
-                timing.t_bnn_img_s,
-                rerun_ratio,
-            ),
-            analytic_accuracy_eq2: model::accuracy_eq2(
-                bnn_accuracy,
-                host_global_accuracy,
-                rerun_ratio,
-                quadrants.rerun_err_ratio(),
-            ),
-            predictions: final_preds,
+            analytic_images_per_sec: 1.0
+                / model::interval_per_image_n(&unit_costs, &analytic_fracs),
+            analytic_accuracy_eq2: model::accuracy_eq2_n(bnn_accuracy, &upgrades),
+            predictions: self.predictions,
             flagged,
             stage_traffic,
             wall_seconds,
@@ -1049,7 +783,7 @@ impl<'a> MultiPrecisionPipeline<'a> {
             backpressure_events: stats.backpressure_events,
             virtual_backoff_s: stats.virtual_backoff_s,
             fault_log: stats.fault_log,
-        })
+        }
     }
 }
 
@@ -1283,40 +1017,6 @@ fn record_result(rec: &dyn Recorder, r: &PipelineResult) {
     }
 }
 
-/// Per-image outputs of the BNN + DMU stage.
-#[derive(Debug)]
-struct StageOutput {
-    bnn_preds: Vec<usize>,
-    kept: Vec<bool>,
-}
-
-impl StageOutput {
-    fn with_capacity(n: usize) -> Self {
-        Self {
-            bnn_preds: Vec::with_capacity(n),
-            kept: Vec::with_capacity(n),
-        }
-    }
-
-    fn push(&mut self, pred: usize, keep: bool) {
-        self.bnn_preds.push(pred);
-        self.kept.push(keep);
-    }
-
-    /// Flags every image for host re-inference (the float32 corner).
-    fn flag_all(&mut self) {
-        self.kept.iter_mut().for_each(|k| *k = false);
-    }
-
-    fn flagged_indices(&self) -> Vec<usize> {
-        self.kept
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &k)| (!k).then_some(i))
-            .collect()
-    }
-}
-
 /// Replays the paper's `async(1)`/`wait(1)` loop: iteration `i` runs
 /// FPGA batch `i` concurrently with host re-inference of the images
 /// flagged in batch `i−1`; a final host pass drains the last batch.
@@ -1443,8 +1143,9 @@ pub fn host_input_shape(data: &Dataset) -> Shape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::silence_injected_panics;
+    use crate::fault::{silence_injected_panics, FaultPlan};
     use mp_bnn::{BnnClassifier, FinnTopology};
+    use mp_int::{CostLut, QuantBnn};
     use mp_nn::train::Model;
     use mp_nn::Mode;
     use mp_tensor::init::TensorRng;
@@ -1800,8 +1501,11 @@ mod tests {
             .unwrap();
         for threads in [2usize, 3, 5] {
             let par = MultiPrecisionPipeline::new(&hw, &dmu, 0.6)
-                .with_parallelism(Parallelism::new(threads))
-                .execute(&host, &data, &modeled_opts())
+                .execute(
+                    &host,
+                    &data,
+                    &modeled_opts().with_parallelism(Parallelism::new(threads)),
+                )
                 .unwrap();
             assert_eq!(base.predictions, par.predictions, "threads={threads}");
             assert_eq!(base.rerun_count, par.rerun_count);
@@ -1818,8 +1522,11 @@ mod tests {
         let policy = DegradationPolicy::default();
         let run_at = |threads: usize| {
             MultiPrecisionPipeline::new(&hw, &dmu, 0.9)
-                .with_parallelism(Parallelism::new(threads))
-                .execute(&host, &data, &chaos_opts(&plan, &policy))
+                .execute(
+                    &host,
+                    &data,
+                    &chaos_opts(&plan, &policy).with_parallelism(Parallelism::new(threads)),
+                )
                 .unwrap()
         };
         let seq = run_at(1);
@@ -1903,26 +1610,22 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn execute_threshold_override_beats_constructor() {
-        // Pins the deprecated shim's contract: the raw value is stored
-        // and validated by `execute`, exactly as before 0.6.0.
-        let (hw, dmu, data, host) = tiny_system();
-        let at = |t: f32| {
-            MultiPrecisionPipeline::new(&hw, &dmu, t)
-                .execute(&host, &data, &modeled_opts())
-                .unwrap()
-        };
-        let base = at(1.0);
-        let overridden = MultiPrecisionPipeline::new(&hw, &dmu, 0.0)
-            .execute(&host, &data, &modeled_opts().with_threshold(1.0))
-            .unwrap();
-        assert_eq!(base.rerun_count, overridden.rerun_count);
-        assert_eq!(base.predictions, overridden.predictions);
-        let bad = MultiPrecisionPipeline::new(&hw, &dmu, 0.5)
-            .execute(&host, &data, &modeled_opts().with_threshold(3.0))
-            .unwrap_err();
-        assert!(matches!(bad, CoreError::InvalidConfig(_)));
+    fn dmu_class_count_mismatch_is_invalid_config_on_both_executors() {
+        let (hw, _, data, host) = tiny_system();
+        // The toy BNN emits 10 classes; this DMU gates on 9 scores.
+        let dmu = Dmu::with_weights(vec![0.1; 9], 0.0);
+        let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.5);
+        for concurrency in [Concurrency::Modeled, Concurrency::Threaded] {
+            let opts = match concurrency {
+                Concurrency::Modeled => modeled_opts(),
+                Concurrency::Threaded => threaded_opts(),
+            };
+            let err = pipeline.execute(&host, &data, &opts).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidConfig(_)),
+                "{concurrency:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1961,19 +1664,6 @@ mod tests {
         assert_eq!(legacy.flagged, cascade.flagged);
         assert_eq!(legacy.degraded_count, cascade.degraded_count);
         assert_eq!(legacy.fault_log, cascade.fault_log);
-    }
-
-    #[test]
-    fn cascade_and_threshold_are_mutually_exclusive() {
-        #![allow(deprecated)]
-        let (hw, dmu, data, host) = tiny_system();
-        let opts = modeled_opts()
-            .with_threshold(0.5)
-            .with_cascade(CascadePolicy::dmu(0.5));
-        let err = MultiPrecisionPipeline::new(&hw, &dmu, 0.5)
-            .execute(&host, &data, &opts)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidConfig(_)));
     }
 
     fn three_stage_policy(bnn: &BnnClassifier, g0: f32, g1: f32) -> CascadePolicy {

@@ -1,12 +1,11 @@
-//! The unified run configuration for the heterogeneous pipeline.
+//! The run configuration for the heterogeneous pipeline.
 //!
-//! Earlier revisions grew a method per execution variant
-//! (`run`, `run_parallel`, `run_parallel_with`, plus the
-//! `TrainedSystem::run_pipeline*` trio). [`RunOptions`] replaces them
-//! with one builder consumed by
+//! [`RunOptions`] is the one builder consumed by
 //! [`MultiPrecisionPipeline::execute`](crate::pipeline::MultiPrecisionPipeline::execute):
-//! pick a [`Concurrency`], optionally override the threshold and host
-//! parallelism, attach a fault plan / degradation policy, and plug in an
+//! pick a [`Concurrency`], optionally install a
+//! [`CascadePolicy`] (overriding the pipeline's
+//! `CascadePolicy::dmu(threshold)` default) and the host parallelism,
+//! attach a fault plan / degradation policy, and plug in an
 //! [`mp_obs::Recorder`] for zero-cost-when-disabled instrumentation.
 //!
 //! # Example
@@ -44,8 +43,8 @@ use crate::pipeline::PipelineTiming;
 /// drives the two processors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Concurrency {
-    /// Single-threaded functional run with **modelled** timing: the
-    /// paper's `async(1)`/`wait(1)` batch overlap is replayed
+    /// Functional run of any cascade policy with **modelled** timing:
+    /// the paper's `async(1)`/`wait(1)` batch overlap is replayed
     /// arithmetically. Fault injection is not available in this mode.
     #[default]
     Modeled,
@@ -108,7 +107,6 @@ impl Precision {
 /// [`NULL_RECORDER`]).
 pub struct RunOptions<'r> {
     timing: PipelineTiming,
-    threshold: Option<f32>,
     cascade: Option<CascadePolicy>,
     parallelism: Option<Parallelism>,
     concurrency: Concurrency,
@@ -123,7 +121,6 @@ impl std::fmt::Debug for RunOptions<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunOptions")
             .field("timing", &self.timing)
-            .field("threshold", &self.threshold)
             .field("cascade", &self.cascade)
             .field("parallelism", &self.parallelism)
             .field("concurrency", &self.concurrency)
@@ -140,7 +137,6 @@ impl Clone for RunOptions<'_> {
     fn clone(&self) -> Self {
         Self {
             timing: self.timing,
-            threshold: self.threshold,
             cascade: self.cascade.clone(),
             parallelism: self.parallelism,
             concurrency: self.concurrency,
@@ -155,7 +151,8 @@ impl Clone for RunOptions<'_> {
 
 impl RunOptions<'static> {
     /// Options for a [`Concurrency::Modeled`] run at `timing`, with the
-    /// pipeline's own threshold and parallelism, no faults, the default
+    /// pipeline's own decision policy, sequential host inference, no
+    /// faults, the default
     /// degradation policy, a host global accuracy of `0.0` (the eq. (2)
     /// prediction is meaningless until
     /// [`with_host_accuracy`](Self::with_host_accuracy) supplies the
@@ -163,7 +160,6 @@ impl RunOptions<'static> {
     pub fn new(timing: PipelineTiming) -> Self {
         Self {
             timing,
-            threshold: None,
             cascade: None,
             parallelism: None,
             concurrency: Concurrency::Modeled,
@@ -177,41 +173,23 @@ impl RunOptions<'static> {
 }
 
 impl<'r> RunOptions<'r> {
-    /// Overrides the pipeline's DMU confidence threshold for this run.
-    ///
-    /// Deprecated: the threshold is the 2-stage special case of the
-    /// cascade API — use
-    /// `with_cascade(CascadePolicy::dmu(threshold))`, which is
-    /// bit-identical. The raw value is still validated by
-    /// [`execute`](crate::pipeline::MultiPrecisionPipeline::execute),
-    /// exactly as before.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use with_cascade(CascadePolicy::dmu(threshold)) — the cascade is the \
-                first-class decision API"
-    )]
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: f32) -> Self {
-        self.threshold = Some(threshold);
-        self
-    }
-
     /// Installs an N-stage confidence cascade as this run's decision
-    /// policy. The canonical 2-stage instance
-    /// [`CascadePolicy::dmu`]`(t)` reproduces the legacy threshold
-    /// bit-identically (and supports both executors, faults included);
-    /// deeper cascades run under [`Concurrency::Modeled`].
-    ///
-    /// Mutually exclusive with the deprecated `with_threshold` —
-    /// [`execute`](crate::pipeline::MultiPrecisionPipeline::execute)
-    /// rejects options carrying both.
+    /// policy, overriding the pipeline's constructor threshold. The
+    /// canonical 2-stage instance [`CascadePolicy::dmu`]`(t)` runs under
+    /// both executors (faults included); other shapes run under
+    /// [`Concurrency::Modeled`].
     #[must_use]
     pub fn with_cascade(mut self, cascade: CascadePolicy) -> Self {
         self.cascade = Some(cascade);
         self
     }
 
-    /// Overrides the pipeline's host-side data parallelism for this run.
+    /// Shards this run's batched inference across `parallelism` worker
+    /// threads (sequential by default). Predictions are bit-identical
+    /// for every setting, and the fault log stays seed-deterministic:
+    /// fault decisions depend only on arrival order, `(image, attempt)`
+    /// and breaker state, never on how the deferred inference batch is
+    /// sharded.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = Some(parallelism);
@@ -283,7 +261,6 @@ impl<'r> RunOptions<'r> {
     pub fn with_recorder<'s>(self, recorder: &'s dyn Recorder) -> RunOptions<'s> {
         RunOptions {
             timing: self.timing,
-            threshold: self.threshold,
             cascade: self.cascade,
             parallelism: self.parallelism,
             concurrency: self.concurrency,
@@ -298,11 +275,6 @@ impl<'r> RunOptions<'r> {
     /// The timing constants of the run.
     pub fn timing(&self) -> &PipelineTiming {
         &self.timing
-    }
-
-    /// The per-run threshold override, if any.
-    pub fn threshold(&self) -> Option<f32> {
-        self.threshold
     }
 
     /// The installed cascade policy, if any.
@@ -354,7 +326,7 @@ mod tests {
     fn defaults_are_modeled_and_null() {
         let opts = RunOptions::new(PipelineTiming::new(1e-3, 1e-2, 10));
         assert_eq!(opts.concurrency(), Concurrency::Modeled);
-        assert!(opts.threshold().is_none());
+        assert!(opts.cascade().is_none());
         assert!(opts.parallelism().is_none());
         assert!(opts.fault_plan().is_none());
         assert!(!opts.recorder().enabled());
@@ -404,16 +376,5 @@ mod tests {
             cloned.cascade().and_then(CascadePolicy::dmu_threshold),
             Some(0.7)
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_threshold_shim_still_stores_raw_value() {
-        // The shim must keep storing the raw f32 so `execute` stays the
-        // single validation point (see
-        // `execute_threshold_override_beats_constructor`).
-        let opts = RunOptions::new(PipelineTiming::new(1e-3, 1e-2, 10)).with_threshold(3.0);
-        assert_eq!(opts.threshold(), Some(3.0));
-        assert!(opts.cascade().is_none());
     }
 }

@@ -93,8 +93,8 @@ pub const CTR_FLEET_REPLICA_PREFIX: &str = "fleet.replica";
 /// Counter-name prefix for per-stage cascade traffic:
 /// `cascade.stage<i>.entered` / `cascade.stage<i>.accepted` (see
 /// [`cascade_entered_counter`] / [`cascade_accepted_counter`]). Every
-/// pipeline run reports these — the legacy threshold path is the
-/// 2-stage instance.
+/// pipeline run reports these — a threshold run is the 2-stage
+/// instance.
 pub const CTR_CASCADE_STAGE_PREFIX: &str = "cascade.stage";
 /// Counter: images classified by the quantized integer path.
 pub const CTR_QUANT_IMAGES: &str = "quant.images";

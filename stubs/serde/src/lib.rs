@@ -132,6 +132,13 @@ pub trait Deserialize<'de>: Sized {
     fn from_value(value: &Value) -> Result<Self, Error>;
 }
 
+/// Any JSON document, untyped (upstream's `serde_json::Value`).
+impl<'de> Deserialize<'de> for Value {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        Ok(value.clone())
+    }
+}
+
 /// Convenience alias matching serde's owned-deserialisation bound.
 pub trait DeserializeOwned: for<'de> Deserialize<'de> {}
 impl<T: for<'de> Deserialize<'de>> DeserializeOwned for T {}

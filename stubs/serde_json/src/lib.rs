@@ -3,13 +3,22 @@
 //! Renders the serde stub's [`serde::Value`] tree to real JSON text and
 //! parses it back: [`to_string`], [`to_string_pretty`] and [`from_str`]
 //! are lossless for every type in this workspace (integers stay exact,
-//! floats print shortest-round-trip representations).
+//! floats print shortest-round-trip representations). Like upstream,
+//! the parser nests arrays and objects at most 128 deep and returns an
+//! [`Error`] beyond that instead of overflowing the stack.
 
 #![forbid(unsafe_code)]
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
+
+/// The untyped JSON document model (the serde stub's interchange value).
+pub use serde::Value;
+
+/// Deepest array/object nesting [`from_str`] accepts (upstream
+/// `serde_json`'s default).
+const RECURSION_LIMIT: usize = 128;
 
 /// Error produced while serialising or parsing JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,6 +67,7 @@ pub fn from_str<'de, T: Deserialize<'de>>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -171,6 +181,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -216,8 +228,22 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == RECURSION_LIMIT {
+                    return Err(Error::new(format!(
+                        "recursion limit exceeded at offset {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at offset {}",
@@ -423,5 +449,17 @@ mod tests {
         assert!(from_str::<bool>("flase").is_err());
         assert!(from_str::<Vec<i32>>("[1, 2").is_err());
         assert!(from_str::<i32>("1 tail").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        let parse = from_str::<Value>;
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(RECURSION_LIMIT)).is_ok());
+        let err = parse(&nested(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+        let err = from_str::<Vec<f32>>(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
     }
 }

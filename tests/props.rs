@@ -13,7 +13,10 @@ use multiprec::core::fault::{
     silence_injected_panics, DegradationPolicy, FaultPlan, FleetFaultPlan,
 };
 use multiprec::core::model;
-use multiprec::core::{CascadePolicy, MultiPrecisionPipeline, PipelineTiming, RunOptions};
+use multiprec::core::{
+    modeled_batch_time, CascadePolicy, MultiPrecisionPipeline, PipelineTiming, Precision,
+    RunOptions,
+};
 use multiprec::dataset::{Dataset, SynthSpec};
 use multiprec::fleet::{FleetConfig, FleetSim, PredictionCache, ReplicaSpec, RoutingPolicy};
 use multiprec::fpga::cycle_model::{divisors, engine_cycles};
@@ -424,13 +427,20 @@ proptest! {
     /// threshold and block size (including blocks that do not divide n
     /// and blocks larger than n), and under faults it still degrades
     /// only flagged images while keeping a deterministic fault log.
+    ///
+    /// Modeled itself must price every dmu-shaped run exactly like the
+    /// paper's 2-stage model: on an empty set, a set smaller than one
+    /// block and a set that is not a multiple of the block, at the
+    /// 1-bit, quantized 1-bit-corner and float32 precisions.
     #[test]
     fn chaos_overlapped_threaded_bit_identical_to_modeled(
         threshold in 0.0f32..1.0,
         block in 1usize..48,
         error_rate in 0.0f64..1.0,
         death in proptest::option::of(0usize..30),
-        seed in any::<u64>()
+        seed in any::<u64>(),
+        size_pick in 0usize..3,
+        precision_pick in 0usize..3
     ) {
         silence_injected_panics();
         let (hw, dmu, data) = chaos_fixture();
@@ -501,6 +511,55 @@ proptest! {
             serde_json::to_string(&again.fault_log).unwrap(),
             serde_json::to_string(&faulty.fault_log).unwrap()
         );
+        // The Modeled executor against the paper's 2-stage formulas.
+        let n = match size_pick {
+            0 => 0,
+            1 => (block - 1).min(data.len()),
+            _ => (1..=data.len()).rev().find(|n| n % block != 0).unwrap_or(data.len()),
+        };
+        let subset = data.take(n).unwrap();
+        let quant = &quant_corner_fixture(false).1;
+        let (precision, scores) = match precision_pick {
+            0 => (Precision::OneBit, hw.infer_batch_with(subset.images(), Parallelism::sequential())),
+            1 => (
+                Precision::Quantized(std::sync::Arc::new(quant.clone())),
+                quant.infer_batch_obs(
+                    subset.images(),
+                    Parallelism::sequential(),
+                    &multiprec::obs::NULL_RECORDER,
+                ),
+            ),
+            _ => (Precision::Float32, hw.infer_batch_with(subset.images(), Parallelism::sequential())),
+        };
+        let bnn_correct: Vec<bool> = Network::argmax_rows(&scores.unwrap())
+            .unwrap()
+            .iter()
+            .zip(subset.labels())
+            .map(|(p, l)| p == l)
+            .collect();
+        let host = chaos_host();
+        let r = pipeline
+            .execute(
+                &host,
+                &subset,
+                &RunOptions::new(timing)
+                    .with_host_accuracy(0.5)
+                    .with_precision(precision)
+                    .with_cascade(CascadePolicy::dmu(threshold)),
+            )
+            .unwrap();
+        let kept: Vec<bool> = r.flagged.iter().map(|&f| !f).collect();
+        prop_assert_eq!(
+            r.modeled_time_s.to_bits(),
+            modeled_batch_time(&kept, &timing).to_bits()
+        );
+        let quadrants = ConfusionQuadrants::tally(&bnn_correct, &kept);
+        prop_assert_eq!(r.quadrants, quadrants);
+        let rerun = quadrants.rerun_ratio();
+        let eq1 = model::images_per_sec(timing.t_fp_img_s, timing.t_bnn_img_s, rerun);
+        prop_assert!((r.analytic_images_per_sec - eq1).abs() <= 1e-12);
+        let eq2 = model::accuracy_eq2(r.bnn_accuracy, 0.5, rerun, quadrants.rerun_err_ratio());
+        prop_assert!((r.analytic_accuracy_eq2 - eq2).abs() <= 1e-12);
     }
 
     #[test]
@@ -629,8 +688,11 @@ proptest! {
             .execute(&host, data, &chaos_opts(plan.clone(), policy))
             .unwrap();
         let par = MultiPrecisionPipeline::new(hw, dmu, 0.9)
-            .with_parallelism(Parallelism::new(threads))
-            .execute(&host, data, &chaos_opts(plan, policy))
+            .execute(
+                &host,
+                data,
+                &chaos_opts(plan, policy).with_parallelism(Parallelism::new(threads)),
+            )
             .unwrap();
         // Sharding the deferred host batches must not perturb fault
         // accounting or predictions in any way.
