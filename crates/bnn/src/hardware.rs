@@ -828,9 +828,6 @@ const MAX_FAN_IN: usize = 1 << 22;
 
 /// Checks one engine against its topology record.
 fn check_stage(i: usize, stage: &HwStage, spec: &EngineSpec) -> Result<(), ModelError> {
-    let mismatch = |what: &str, found: String, expected: String| ModelError::Topology {
-        reason: format!("engine {i}: {what} {found}, expected {expected}"),
-    };
     let (weights, thresholds, conv) = match stage {
         HwStage::FirstConv {
             weights,
@@ -847,14 +844,52 @@ fn check_stage(i: usize, stage: &HwStage, spec: &EngineSpec) -> Result<(), Model
             pool,
         } => (
             weights,
-            Some(thresholds),
+            Some(thresholds.len()),
             Some((*in_channels, *kernel, *pool)),
         ),
         HwStage::BinFc {
             weights,
             thresholds,
-        } => (weights, Some(thresholds), None),
+        } => (weights, Some(thresholds.len()), None),
         HwStage::OutputFc { weights } => (weights, None, None),
+    };
+    if spec.weight_cols() > MAX_FAN_IN {
+        return Err(ModelError::Topology {
+            reason: format!(
+                "engine {i}: fan-in {}, expected at most {MAX_FAN_IN}",
+                spec.weight_cols()
+            ),
+        });
+    }
+    check_engine(
+        i,
+        spec,
+        conv,
+        (weights.num_rows(), weights.num_cols()),
+        thresholds,
+    )
+}
+
+/// Checks engine `stage` of a loaded model against the topology's engine
+/// record `spec`: its kind and, for a convolution (`conv` holds its input
+/// channels, kernel and pool flag), its geometry; its weight matrix's
+/// `(rows, cols)` against `OD` and the fan-in; and, for an engine with
+/// thresholds, one per weight row. Every model format folded from a
+/// [`FinnTopology`] loads through this check.
+///
+/// # Errors
+///
+/// [`ModelError::FanIn`], [`ModelError::ThresholdCount`], or
+/// [`ModelError::Topology`] naming the first mismatch.
+pub fn check_engine(
+    stage: usize,
+    spec: &EngineSpec,
+    conv: Option<(usize, usize, bool)>,
+    (rows, cols): (usize, usize),
+    thresholds: Option<usize>,
+) -> Result<(), ModelError> {
+    let mismatch = |what: &str, found: String, expected: String| ModelError::Topology {
+        reason: format!("engine {stage}: {what} {found}, expected {expected}"),
     };
     match (conv, spec.kind) {
         (Some((c, k, pool)), EngineKind::Conv) => {
@@ -885,32 +920,25 @@ fn check_stage(i: usize, stage: &HwStage, spec: &EngineSpec) -> Result<(), Model
             ))
         }
     }
-    if weights.num_rows() != spec.out_channels {
+    if rows != spec.out_channels {
         return Err(mismatch(
             "weight rows",
-            weights.num_rows().to_string(),
+            rows.to_string(),
             spec.out_channels.to_string(),
         ));
     }
-    if weights.num_cols() != spec.weight_cols() {
+    if cols != spec.weight_cols() {
         return Err(ModelError::FanIn {
-            stage: i,
-            cols: weights.num_cols(),
+            stage,
+            cols,
             expected: spec.weight_cols(),
         });
     }
-    if spec.weight_cols() > MAX_FAN_IN {
-        return Err(mismatch(
-            "fan-in",
-            spec.weight_cols().to_string(),
-            format!("at most {MAX_FAN_IN}"),
-        ));
-    }
     match thresholds {
-        Some(t) if t.len() != weights.num_rows() => Err(ModelError::ThresholdCount {
-            stage: i,
-            thresholds: t.len(),
-            rows: weights.num_rows(),
+        Some(t) if t != rows => Err(ModelError::ThresholdCount {
+            stage,
+            thresholds: t,
+            rows,
         }),
         _ => Ok(()),
     }

@@ -45,4 +45,4 @@ pub use cost::{CostError, CostLut};
 pub use precision::{
     NetworkPrecision, PrecisionError, PrecisionSpec, FIRST_LAYER_A_BITS, SUPPORTED_BITS,
 };
-pub use quant::{LevelThresholds, QuantBnn};
+pub use quant::{LevelThresholds, QuantBnn, QuantModelError};

@@ -33,11 +33,13 @@
 //! keep scores comparable across precisions (at 1 bit the scale is 1
 //! and the scores equal the hardware integers).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-use mp_bnn::hardware::{HwThreshold, INPUT_QUANT_SCALE};
+use mp_bnn::hardware::{check_engine, HwThreshold, INPUT_QUANT_SCALE};
 use mp_bnn::planes::{levels, quantize_level, PlaneMatrix, PlaneVec};
-use mp_bnn::{BnFold, BnnClassifier, FinnTopology, HardwareBnn, LatentKind};
+use mp_bnn::{
+    BnFold, BnnClassifier, EngineSpec, FinnTopology, HardwareBnn, LatentKind, ModelError,
+};
 use mp_obs::{now_ns, Recorder};
 use mp_tensor::{Parallelism, Shape, ShapeError, Tensor};
 
@@ -159,6 +161,98 @@ impl QuantStage {
     }
 }
 
+/// Why a quantized model failed its load-time checks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum QuantModelError {
+    /// The stages do not form a network for the topology: the checks a
+    /// [`HardwareBnn`] load makes (stage order, and each stage's kind,
+    /// geometry, weight shape and threshold count).
+    Structure(ModelError),
+    /// The precision does not have one layer per stage.
+    PrecisionLayers {
+        /// Layers in the [`NetworkPrecision`].
+        layers: usize,
+        /// Stages in the model.
+        stages: usize,
+    },
+    /// A stage's weight planes differ from its layer's `w_bits`.
+    WeightBits {
+        /// Stage position.
+        stage: usize,
+        /// Planes found.
+        bits: usize,
+        /// The precision's `w_bits`.
+        expected: usize,
+    },
+    /// A stage consumes activations at another width than its layer's
+    /// `a_bits`.
+    ActivationBits {
+        /// Stage position.
+        stage: usize,
+        /// Width found.
+        bits: usize,
+        /// The precision's `a_bits`.
+        expected: usize,
+    },
+    /// A threshold ladder has a different number of boundaries than the
+    /// consuming layer's `2^a_bits − 1`.
+    LadderWidth {
+        /// Stage position.
+        stage: usize,
+        /// Boundaries found.
+        bounds: usize,
+        /// `2^a_bits − 1` of the next layer.
+        expected: usize,
+    },
+}
+
+impl std::fmt::Display for QuantModelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Structure(e) => e.fmt(f),
+            Self::PrecisionLayers { layers, stages } => {
+                write!(
+                    f,
+                    "precision covers {layers} layers, model has {stages} stages"
+                )
+            }
+            Self::WeightBits {
+                stage,
+                bits,
+                expected,
+            } => write!(
+                f,
+                "stage {stage}: {bits} weight planes, but the precision has w_bits = {expected}"
+            ),
+            Self::ActivationBits {
+                stage,
+                bits,
+                expected,
+            } => write!(
+                f,
+                "stage {stage}: {bits}-bit activations, but the precision has a_bits = {expected}"
+            ),
+            Self::LadderWidth {
+                stage,
+                bounds,
+                expected,
+            } => write!(
+                f,
+                "stage {stage}: a threshold ladder of {bounds} boundaries, \
+                 but the next layer's a_bits needs {expected}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for QuantModelError {}
+
+impl From<ModelError> for QuantModelError {
+    fn from(e: ModelError) -> Self {
+        Self::Structure(e)
+    }
+}
+
 /// Functional model of a multi-precision integer accelerator: per-layer
 /// `(a_bits, w_bits)` quantized inference over bit-plane decomposed
 /// weights and level-coded activations.
@@ -181,14 +275,79 @@ impl QuantStage {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Deserialising checks the model against its topology and precision
+/// and rejects a malformed one with a [`QuantModelError`].
+#[derive(Debug, Clone, Serialize)]
 pub struct QuantBnn {
     topology: FinnTopology,
     precision: NetworkPrecision,
     stages: Vec<QuantStage>,
 }
 
+impl<'de> Deserialize<'de> for QuantBnn {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let topology = FinnTopology::from_value(value.get_field("topology")?)?;
+        let precision = NetworkPrecision::from_value(value.get_field("precision")?)?;
+        let stages = Vec::<QuantStage>::from_value(value.get_field("stages")?)?;
+        Self::from_parts(topology, precision, stages).map_err(serde::Error::custom)
+    }
+}
+
 impl QuantBnn {
+    /// Assembles a model after checking that the stages form a valid
+    /// network for `topology` at `precision`: the fixed-point first conv
+    /// first, the output stage last, one stage per engine and layer, and
+    /// every weight matrix, threshold table and bit width consistent
+    /// with both.
+    fn from_parts(
+        topology: FinnTopology,
+        precision: NetworkPrecision,
+        stages: Vec<QuantStage>,
+    ) -> Result<Self, QuantModelError> {
+        let last = stages.len().checked_sub(1).ok_or(ModelError::NoStages)?;
+        for (i, stage) in stages.iter().enumerate() {
+            let first = matches!(stage, QuantStage::FirstConv { .. });
+            let output = matches!(stage, QuantStage::Output { .. });
+            if first != (i == 0) {
+                return Err(ModelError::FirstConvNotFirst { stage: i }.into());
+            }
+            if output != (i == last) {
+                return Err(ModelError::OutputNotLast { stage: i }.into());
+            }
+        }
+        if precision.len() != stages.len() {
+            return Err(QuantModelError::PrecisionLayers {
+                layers: precision.len(),
+                stages: stages.len(),
+            });
+        }
+        let topology_error = |reason| QuantModelError::Structure(ModelError::Topology { reason });
+        let engines = topology.try_engines().map_err(topology_error)?;
+        if engines.len() != stages.len() {
+            return Err(topology_error(format!(
+                "{} engines for a topology of {}",
+                stages.len(),
+                engines.len()
+            )));
+        }
+        for (i, (stage, spec)) in stages.iter().zip(&engines).enumerate() {
+            check_stage(i, stage, spec, &precision)?;
+        }
+        let output_rows = engines[last].out_channels;
+        if topology.classes() > output_rows {
+            return Err(topology_error(format!(
+                "{} classes but an output engine of {output_rows} rows",
+                topology.classes()
+            )));
+        }
+        Ok(Self {
+            topology,
+            precision,
+            stages,
+        })
+    }
+
     /// Quantizes a trained [`BnnClassifier`] to `precision`: latent
     /// weights become plane-packed levels, batch-norm + quantize pairs
     /// become level-threshold ladders.
@@ -298,11 +457,8 @@ impl QuantBnn {
                 }
             }
         }
-        Ok(Self {
-            topology: classifier.topology().clone(),
-            precision,
-            stages,
-        })
+        Self::from_parts(classifier.topology().clone(), precision, stages)
+            .map_err(|e| ShapeError::new("QuantBnn::from_classifier", e.to_string()))
     }
 
     /// The network topology.
@@ -635,6 +791,85 @@ impl QuantBnn {
     }
 }
 
+/// Checks stage `i` against its topology engine `spec` and its layer of
+/// `precision` (the caller has already placed the first and output
+/// stages).
+fn check_stage(
+    i: usize,
+    stage: &QuantStage,
+    spec: &EngineSpec,
+    precision: &NetworkPrecision,
+) -> Result<(), QuantModelError> {
+    let (weights, thresholds, conv, a_bits) = match stage {
+        QuantStage::FirstConv {
+            weights,
+            thresholds,
+            in_channels,
+            kernel,
+            pool,
+        } => (
+            weights,
+            Some(thresholds),
+            Some((*in_channels, *kernel, *pool)),
+            None,
+        ),
+        QuantStage::Conv {
+            weights,
+            thresholds,
+            in_channels,
+            kernel,
+            pool,
+            a_bits,
+        } => (
+            weights,
+            Some(thresholds),
+            Some((*in_channels, *kernel, *pool)),
+            Some(*a_bits),
+        ),
+        QuantStage::Fc {
+            weights,
+            thresholds,
+            a_bits,
+        } => (weights, Some(thresholds), None, Some(*a_bits)),
+        QuantStage::Output { weights, a_bits } => (weights, None, None, Some(*a_bits)),
+    };
+    check_engine(
+        i,
+        spec,
+        conv,
+        (weights.num_rows(), weights.num_cols()),
+        thresholds.map(Vec::len),
+    )?;
+    let layer = precision.layers()[i];
+    if weights.bits() != layer.w_bits() {
+        return Err(QuantModelError::WeightBits {
+            stage: i,
+            bits: weights.bits(),
+            expected: layer.w_bits(),
+        });
+    }
+    if let Some(bits) = a_bits.filter(|&bits| bits != layer.a_bits()) {
+        return Err(QuantModelError::ActivationBits {
+            stage: i,
+            bits,
+            expected: layer.a_bits(),
+        });
+    }
+    // A stage with thresholds is not the last, so a consuming layer exists.
+    let Some(thresholds) = thresholds else {
+        return Ok(());
+    };
+    let expected = levels(precision.layers()[i + 1].a_bits()) as usize;
+    match thresholds.iter().find(|t| t.num_bounds() != expected) {
+        Some(t) => Err(QuantModelError::LadderWidth {
+            stage: i,
+            bounds: t.num_bounds(),
+            expected,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// 2×2 max pooling over level-coded activations (the `b`-bit
 /// generalisation of OR pooling: `max` over odd levels, which at 1 bit
 /// is OR over `{−1, +1}`).
@@ -871,6 +1106,266 @@ mod tests {
         assert_eq!(
             q.infer_batch(&batch).unwrap().as_slice(),
             back.infer_batch(&batch).unwrap().as_slice()
+        );
+    }
+
+    /// The shape of a serialised value: object keys, enum tags and
+    /// scalar kinds, with runs of same-shaped array items collapsed.
+    fn skeleton(v: &Value) -> String {
+        match v {
+            Value::Null => "null".into(),
+            Value::Bool(_) => "bool".into(),
+            Value::Int(_) | Value::UInt(_) => "int".into(),
+            Value::Float(_) => "float".into(),
+            Value::Str(_) => "str".into(),
+            Value::Seq(items) => {
+                let mut shapes: Vec<String> = items.iter().map(skeleton).collect();
+                shapes.dedup();
+                format!("[{}]", shapes.join(","))
+            }
+            Value::Map(fields) => {
+                let fields: Vec<String> = fields
+                    .iter()
+                    .map(|(k, v)| format!("{k}:{}", skeleton(v)))
+                    .collect();
+                format!("{{{}}}", fields.join(","))
+            }
+        }
+    }
+
+    /// A 2-bit-activation, 4-bit-weight model of the tiny topology.
+    fn tiny_quant() -> QuantBnn {
+        let bnn = trained_tiny(104);
+        let precision = NetworkPrecision::uniform(layer_count(&bnn), 2, 4).unwrap();
+        QuantBnn::from_classifier(&bnn, precision).unwrap()
+    }
+
+    #[test]
+    fn golden_serialised_format_is_unchanged() {
+        // The checked deserialiser reads the derive-era format: object
+        // keys, enum tags and nesting are pinned here.
+        let q = tiny_quant();
+        let planes = "{planes:[{rows:[{words:[int],len:int}],cols:int}],cols:int}";
+        let ladders = "[{bounds:[{bound:int,negate:bool}]}]";
+        let want = format!(
+            "{{topology:{{channels:int,height:int,width:int,conv_channels:[int],\
+             pool_after:[bool],fc_sizes:[int],classes:int}},\
+             precision:{{layers:[{{a_bits:int,w_bits:int}}]}},\
+             stages:[{{FirstConv:{{weights:{planes},thresholds:{ladders},\
+             in_channels:int,kernel:int,pool:bool}}}},\
+             {{Conv:{{weights:{planes},thresholds:{ladders},\
+             in_channels:int,kernel:int,pool:bool,a_bits:int}}}},\
+             {{Fc:{{weights:{planes},thresholds:{ladders},a_bits:int}}}},\
+             {{Output:{{weights:{planes},a_bits:int}}}}]}}"
+        );
+        assert_eq!(skeleton(&q.to_value()), want);
+        let json = serde_json::to_string(&q).unwrap();
+        let back: QuantBnn = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    /// Serialises `q`, applies `mutate` to the serialised value and loads
+    /// it back through the checked deserialiser.
+    fn reload_with(
+        q: &QuantBnn,
+        mutate: impl FnOnce(&mut Value),
+    ) -> Result<QuantBnn, serde::Error> {
+        let mut value = q.to_value();
+        mutate(&mut value);
+        QuantBnn::from_value(&value)
+    }
+
+    /// Field `name` of a serialised object, or of the payload of a
+    /// serialised enum variant (`{"Variant": {fields}}`).
+    fn field<'v>(value: &'v mut Value, name: &str) -> &'v mut Value {
+        let Value::Map(fields) = value else {
+            panic!("expected an object")
+        };
+        if fields.len() == 1 && fields[0].0 != name {
+            return field(&mut fields[0].1, name);
+        }
+        &mut fields.iter_mut().find(|(k, _)| k == name).unwrap().1
+    }
+
+    fn items(value: &mut Value) -> &mut Vec<Value> {
+        let Value::Seq(items) = value else {
+            panic!("expected an array")
+        };
+        items
+    }
+
+    fn stages(value: &mut Value) -> &mut Vec<Value> {
+        items(field(value, "stages"))
+    }
+
+    fn assert_rejected(got: Result<QuantBnn, serde::Error>, want: QuantModelError) {
+        let err = got.expect_err("malformed model must be rejected");
+        assert_eq!(err.to_string(), want.to_string());
+    }
+
+    #[test]
+    fn deserialize_rejects_empty_stage_list() {
+        let q = tiny_quant();
+        assert_rejected(
+            reload_with(&q, |v| stages(v).clear()),
+            ModelError::NoStages.into(),
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_first_conv_out_of_place() {
+        let q = tiny_quant();
+        assert_rejected(
+            reload_with(&q, |v| stages(v).swap(0, 1)),
+            ModelError::FirstConvNotFirst { stage: 0 }.into(),
+        );
+        assert_rejected(
+            reload_with(&q, |v| {
+                let first = stages(v)[0].clone();
+                stages(v).insert(2, first);
+            }),
+            ModelError::FirstConvNotFirst { stage: 2 }.into(),
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_output_stage_out_of_place() {
+        let q = tiny_quant();
+        let last = q.stages.len() - 1;
+        assert_rejected(
+            reload_with(&q, |v| {
+                stages(v).pop();
+            }),
+            ModelError::OutputNotLast { stage: last - 1 }.into(),
+        );
+        assert_rejected(
+            reload_with(&q, |v| stages(v).swap(last - 1, last)),
+            ModelError::OutputNotLast { stage: last - 1 }.into(),
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_precision_layer_count_mismatch() {
+        let q = tiny_quant();
+        let n = q.stages.len();
+        assert_rejected(
+            reload_with(&q, |v| {
+                items(field(field(v, "precision"), "layers")).pop();
+            }),
+            QuantModelError::PrecisionLayers {
+                layers: n - 1,
+                stages: n,
+            },
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_threshold_count_mismatch() {
+        let q = tiny_quant();
+        let rows = q.topology.engines()[1].out_channels;
+        assert_rejected(
+            reload_with(&q, |v| {
+                items(field(&mut stages(v)[1], "thresholds")).pop();
+            }),
+            ModelError::ThresholdCount {
+                stage: 1,
+                thresholds: rows - 1,
+                rows,
+            }
+            .into(),
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_fan_in_mismatch() {
+        let q = tiny_quant();
+        let e = &q.topology.engines()[2];
+        let (rows, cols) = (e.out_channels, e.weight_cols());
+        assert_rejected(
+            reload_with(&q, |v| {
+                *field(&mut stages(v)[2], "weights") =
+                    PlaneMatrix::from_levels(rows, cols + 1, &vec![1; rows * (cols + 1)], 4)
+                        .to_value();
+            }),
+            ModelError::FanIn {
+                stage: 2,
+                cols: cols + 1,
+                expected: cols,
+            }
+            .into(),
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_weight_bits_mismatch() {
+        let q = tiny_quant();
+        let e = &q.topology.engines()[1];
+        let (rows, cols) = (e.out_channels, e.weight_cols());
+        assert_rejected(
+            reload_with(&q, |v| {
+                *field(&mut stages(v)[1], "weights") =
+                    PlaneMatrix::from_levels(rows, cols, &vec![1; rows * cols], 2).to_value();
+            }),
+            QuantModelError::WeightBits {
+                stage: 1,
+                bits: 2,
+                expected: 4,
+            },
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_activation_bits_mismatch() {
+        let q = tiny_quant();
+        assert_rejected(
+            reload_with(&q, |v| *field(&mut stages(v)[1], "a_bits") = Value::Int(4)),
+            QuantModelError::ActivationBits {
+                stage: 1,
+                bits: 4,
+                expected: 2,
+            },
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_ladder_width_mismatch() {
+        // Layer 1 now consumes 4-bit activations, but stage 0's ladders
+        // still quantize to 2 bits (three boundaries).
+        let q = tiny_quant();
+        assert_rejected(
+            reload_with(&q, |v| {
+                let layers = items(field(field(v, "precision"), "layers"));
+                *field(&mut layers[1], "a_bits") = Value::Int(4);
+            }),
+            QuantModelError::LadderWidth {
+                stage: 0,
+                bounds: 3,
+                expected: 15,
+            },
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_topology_mismatch() {
+        let q = tiny_quant();
+        assert_rejected(
+            reload_with(&q, |v| *field(&mut stages(v)[1], "kernel") = Value::Int(5)),
+            ModelError::Topology {
+                reason: "engine 1: kernel 5, expected 3".to_string(),
+            }
+            .into(),
+        );
+        let engines = q.topology.engines().len();
+        assert_rejected(
+            reload_with(&q, |v| {
+                let fc = items(field(field(v, "topology"), "fc_sizes"));
+                let width = fc[0].clone();
+                fc.insert(0, width);
+            }),
+            ModelError::Topology {
+                reason: format!("{engines} engines for a topology of {}", engines + 1),
+            }
+            .into(),
         );
     }
 

@@ -1,4 +1,4 @@
-use mp_tensor::conv::{col2im, im2col, im2col_slice_into, ConvGeometry};
+use mp_tensor::conv::{col2im, im2col, im2col_batch_into, ConvGeometry};
 use mp_tensor::init::TensorRng;
 use mp_tensor::{linalg, Shape, ShapeError, Tensor, Workspace};
 
@@ -176,29 +176,15 @@ impl Layer for Conv2d {
         let (n, c, oh, ow) = self.check_input(input.shape())?;
         let (h, w) = (input.shape().dim(2), input.shape().dim(3));
         let pixels = oh * ow;
-        let image_len = c * h * w;
         let fan_in = c * self.geom.kernel * self.geom.kernel;
-        let xv = input.as_slice();
-        // Batch-level GEMM: scatter every image's im2col columns into one
-        // `[fan_in, n·pixels]` patch matrix and multiply once. Each output
-        // element accumulates over the same K entries in the same order as
-        // a per-image product, so results are bit-identical while the GEMM
-        // amortises its tile setup over the whole batch.
-        let mut cols_one = ws.take(fan_in * pixels);
-        let mut cols_all = ws.take(fan_in * n * pixels);
-        cols_all.clear();
-        cols_all.resize(fan_in * n * pixels, 0.0);
-        for img in 0..n {
-            let image = &xv[img * image_len..(img + 1) * image_len];
-            let (rows, cols) = im2col_slice_into(image, c, h, w, self.geom, &mut cols_one)?;
-            debug_assert_eq!((rows, cols), (fan_in, pixels));
-            for r in 0..rows {
-                let dst = r * n * pixels + img * pixels;
-                cols_all[dst..dst + pixels]
-                    .copy_from_slice(&cols_one[r * pixels..(r + 1) * pixels]);
-            }
-        }
-        let patches = Tensor::from_vec(Shape::matrix(fan_in, n * pixels), cols_all)?;
+        // Batch-level GEMM: every image's patch rows are written straight
+        // into one `[fan_in, n·pixels]` patch matrix (image `img` at column
+        // offset `img·pixels`), which is multiplied once. Each output
+        // element sums the same K terms in the same order as a per-image
+        // product, so results are bit-identical to `forward`.
+        let mut cols = ws.take(fan_in * n * pixels);
+        im2col_batch_into(input.as_slice(), n, c, h, w, self.geom, &mut cols)?;
+        let patches = Tensor::from_vec(Shape::matrix(fan_in, n * pixels), cols)?;
         let mut y = ws.take(self.out_channels * n * pixels);
         linalg::matmul_into(&self.weight, &patches, &mut y)?;
         // Reorder `[oc, n·pixels]` to `[n, oc, pixels]`, adding the bias.
@@ -213,7 +199,6 @@ impl Layer for Conv2d {
         }
         ws.put(patches.into_vec());
         ws.put(y);
-        ws.put(cols_one);
         Tensor::from_vec(Shape::nchw(n, self.out_channels, oh, ow), out)
     }
 

@@ -68,27 +68,32 @@ impl LocalResponseNorm {
         })
     }
 
+    /// Writes the normaliser `S = k + Σ_{j∈window(ch)} α/size · x_j²` of
+    /// channel `ch` of image `img` into the one-plane `dst`, adding the
+    /// window's channels in order.
+    fn scale_plane(&self, xv: &[f32], c: usize, img: usize, ch: usize, dst: &mut [f32]) {
+        let plane = dst.len();
+        let half = self.size / 2;
+        let coeff = self.alpha / self.size as f32;
+        dst.fill(self.k);
+        for j in ch.saturating_sub(half)..=(ch + half).min(c - 1) {
+            let src = &xv[(img * c + j) * plane..][..plane];
+            for (s, &x) in dst.iter_mut().zip(src) {
+                *s += coeff * x * x;
+            }
+        }
+    }
+
     fn compute_scale(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
         let shape = input.shape();
         let (n, c, h, w) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
         let plane = h * w;
-        let half = self.size / 2;
-        let coeff = self.alpha / self.size as f32;
-        let mut scale = Tensor::filled(shape.clone(), self.k);
-        let xv = input.as_slice();
-        let sv = scale.as_mut_slice();
+        let mut scale = Tensor::zeros(shape.clone());
+        let (xv, sv) = (input.as_slice(), scale.as_mut_slice());
         for img in 0..n {
             for ch in 0..c {
-                let lo = ch.saturating_sub(half);
-                let hi = (ch + half).min(c - 1);
-                let dst = (img * c + ch) * plane;
-                for j in lo..=hi {
-                    let src = (img * c + j) * plane;
-                    for p in 0..plane {
-                        let x = xv[src + p];
-                        sv[dst + p] += coeff * x * x;
-                    }
-                }
+                let at = (img * c + ch) * plane;
+                self.scale_plane(xv, c, img, ch, &mut sv[at..at + plane]);
             }
         }
         Ok(scale)
@@ -124,11 +129,31 @@ impl Layer for LocalResponseNorm {
         Ok(out)
     }
 
-    fn infer(&self, input: &Tensor, _ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-        self.output_shape(input.shape())?;
-        let scale = self.compute_scale(input)?;
-        let beta = self.beta;
-        input.zip_with(&scale, |x, s| x * s.powf(-beta))
+    fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
+        let shape = self.output_shape(input.shape())?;
+        let (n, c, h, w) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
+        let plane = h * w;
+        let xv = input.as_slice();
+        // One plane of normaliser at a time, then `x · S^-β` into the
+        // output: the arithmetic of `forward`, without a full-size scale.
+        // The plane scratch is taken first: `take` hands out the largest
+        // pooled buffer, which the scratch borrows and hands back, so the
+        // output gets one sized like the activations and the largest is
+        // free again for the next conv's patch matrix.
+        let mut scale = ws.take(plane);
+        scale.clear();
+        scale.resize(plane, 0.0);
+        let mut out = ws.take(xv.len());
+        out.clear();
+        for img in 0..n {
+            for ch in 0..c {
+                self.scale_plane(xv, c, img, ch, &mut scale);
+                let x = &xv[(img * c + ch) * plane..][..plane];
+                out.extend(x.iter().zip(&scale).map(|(&x, &s)| x * s.powf(-self.beta)));
+            }
+        }
+        ws.put(scale);
+        Tensor::from_vec(shape, out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, ShapeError> {
@@ -214,6 +239,25 @@ mod tests {
         x.as_mut_slice().copy_from_slice(&[10.0, 1.0, 10.0, 1.0]);
         let y = lrn.forward(&x, Mode::Infer).unwrap();
         assert!(y.as_slice()[1] < y.as_slice()[3]);
+    }
+
+    #[test]
+    fn infer_is_bit_identical_to_forward_and_recycles_its_buffers() {
+        let mut lrn = LocalResponseNorm::new(5, 1e-2, 0.75, 1.0).unwrap();
+        let x = TensorRng::seed_from(4).normal(Shape::nchw(3, 7, 5, 4), 0.0, 3.0);
+        let want = lrn.forward(&x, Mode::Infer).unwrap();
+        let mut ws = Workspace::new();
+        let got = lrn.infer(&x, &mut ws).unwrap();
+        assert_eq!(got.shape(), want.shape());
+        let bits = |t: &Tensor| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        // The plane scratch goes back to the pool; the output is the
+        // caller's to recycle.
+        assert_eq!(ws.pooled(), 1);
+        ws.put(got.into_vec());
+        let again = lrn.infer(&x, &mut ws).unwrap();
+        assert_eq!(ws.pooled(), 1);
+        assert_eq!(bits(&again), bits(&want));
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub mod train;
 
 pub use cost::LayerCost;
 pub use layer::{Layer, Mode};
-pub use network::{Network, NetworkBuilder};
+pub use network::{Network, NetworkBuilder, INFER_SUB_BATCH};
 pub use train::{Adam, Model, Optimizer, Sgd, Trainer};

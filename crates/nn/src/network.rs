@@ -15,7 +15,7 @@ use crate::LayerCost;
 /// [`Network::infer_batch_with`]: large enough to amortise per-call
 /// dispatch, small enough that a sub-batch's inter-layer activations
 /// stay L1/L2-resident.
-const INFER_SUB_BATCH: usize = 16;
+pub const INFER_SUB_BATCH: usize = 16;
 
 /// One worker's share of a batched inference: output dims + row data.
 type InferShard = Result<(Vec<usize>, Vec<f32>), ShapeError>;

@@ -115,9 +115,10 @@ pub fn im2col_into(
 /// [`im2col`] over a raw `C·H·W` plane slice, writing into a reusable
 /// buffer.
 ///
-/// This is the zero-copy entry point batched inference uses: one image of
-/// an NCHW batch can be lowered directly from its slice of the batch
-/// tensor, without first materialising a `[1, C, H, W]` copy.
+/// This is the zero-copy entry point for one image of an NCHW batch: it
+/// is lowered directly from its slice of the batch tensor, without first
+/// materialising a `[1, C, H, W]` copy. Equivalent to
+/// [`im2col_batch_into`] with a batch of one.
 ///
 /// # Errors
 ///
@@ -131,13 +132,42 @@ pub fn im2col_slice_into(
     geom: ConvGeometry,
     out: &mut Vec<f32>,
 ) -> Result<(usize, usize), ShapeError> {
-    if image.len() != c * h * w {
+    im2col_batch_into(image, 1, c, h, w, geom, out)
+}
+
+/// Unrolls a whole `[N, C, H, W]` batch into one patch matrix.
+///
+/// The result has shape `[C·K·K, N·OH·OW]`: row `r` holds kernel element
+/// `r` for every output pixel of image 0, then of image 1, and so on, so
+/// image `i`'s columns start at `i·OH·OW`. One GEMM over this matrix
+/// convolves the whole batch, and each column equals the [`im2col`]
+/// column of its image.
+///
+/// `out` is cleared and filled in order, reusing its capacity: valid
+/// stretches of input rows are copied as runs (whole planes for a 1×1
+/// kernel) and padding is written as explicit zeros, so nothing is
+/// written twice.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if `batch` is not exactly `n·c·h·w` elements or
+/// the window does not fit the padded input.
+pub fn im2col_batch_into(
+    batch: &[f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    geom: ConvGeometry,
+    out: &mut Vec<f32>,
+) -> Result<(usize, usize), ShapeError> {
+    if batch.len() != n * c * h * w {
         return Err(ShapeError::new(
             "im2col",
             format!(
-                "expected {c}×{h}×{w} = {} elements, got {}",
-                c * h * w,
-                image.len()
+                "expected {n}×{c}×{h}×{w} = {} elements, got {}",
+                n * c * h * w,
+                batch.len()
             ),
         ));
     }
@@ -152,35 +182,55 @@ pub fn im2col_slice_into(
             ),
         ));
     }
-    let k = geom.kernel;
-    let cols = oh * ow;
+    let (k, stride, pad) = (geom.kernel, geom.stride, geom.padding);
     let rows = c * k * k;
     out.clear();
-    out.resize(rows * cols, 0.0);
+    out.reserve_exact(rows * n * oh * ow);
+    let zeros = |out: &mut Vec<f32>, count: usize| out.extend(std::iter::repeat_n(0.0, count));
     for ch in 0..c {
-        let plane = &image[ch * h * w..(ch + 1) * h * w];
         for ky in 0..k {
+            let (y0, y1) = valid_span(ky, geom, h, oh);
             for kx in 0..k {
-                let row = (ch * k + ky) * k + kx;
-                let out_row = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                let (x0, x1) = valid_span(kx, geom, w, ow);
+                for img in 0..n {
+                    let plane = &batch[(img * c + ch) * h * w..][..h * w];
+                    zeros(out, y0 * ow);
+                    if y0 < y1 && stride == 1 && kx == pad && ow == w {
+                        // Whole input rows, contiguous across output rows.
+                        let iy = y0 + ky - pad;
+                        out.extend_from_slice(&plane[iy * w..(iy + y1 - y0) * w]);
+                    } else {
+                        for oy in y0..y1 {
+                            let src = &plane[(oy * stride + ky - pad) * w..][..w];
+                            zeros(out, x0);
+                            if stride > 1 {
+                                out.extend((x0..x1).map(|ox| src[ox * stride + kx - pad]));
+                            } else if x0 < x1 {
+                                let ix = x0 + kx - pad;
+                                out.extend_from_slice(&src[ix..ix + x1 - x0]);
+                            }
+                            zeros(out, ow - x1);
                         }
-                        out_row[oy * ow + ox] = src_row[ix as usize];
                     }
+                    zeros(out, (oh - y1) * ow);
                 }
             }
         }
     }
-    Ok((rows, cols))
+    Ok((rows, n * oh * ow))
+}
+
+/// The output positions `o` in `lo..hi` whose input coordinate
+/// `o·stride + offset − padding` lands inside `0..input`; the rest read
+/// padding.
+fn valid_span(offset: usize, geom: ConvGeometry, input: usize, output: usize) -> (usize, usize) {
+    let hi = if input + geom.padding > offset {
+        ((input + geom.padding - offset - 1) / geom.stride + 1).min(output)
+    } else {
+        0
+    };
+    let lo = geom.padding.saturating_sub(offset).div_ceil(geom.stride);
+    (lo.min(hi), hi)
 }
 
 /// Adjoint of [`im2col`]: scatters a patch-matrix gradient back to image
@@ -290,6 +340,74 @@ mod tests {
         assert_eq!((r2, c2), (rows, cols));
         assert_eq!(buf.as_slice(), want.as_slice());
         assert!(im2col_slice_into(&plane[1..], 2, 5, 4, geom, &mut buf).is_err());
+    }
+
+    /// Per-element im2col of one `C·H·W` image: the definition the
+    /// run-copying [`im2col_batch_into`] must reproduce.
+    fn reference_im2col(image: &[f32], c: usize, h: usize, w: usize, g: ConvGeometry) -> Vec<f32> {
+        let (oh, ow, k) = (g.output_dim(h), g.output_dim(w), g.kernel);
+        let mut out = vec![0.0f32; c * k * k * oh * ow];
+        for ch in 0..c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (ch * k + ky) * k + kx;
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let iy = (oy * g.stride + ky) as isize - g.padding as isize;
+                            let ix = (ox * g.stride + kx) as isize - g.padding as isize;
+                            if (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix) {
+                                out[row * oh * ow + oy * ow + ox] =
+                                    image[ch * h * w + iy as usize * w + ix as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn batch_im2col_places_each_image_at_its_column_offset() {
+        // Stride 1 and 2, 1×1 plane copies, padding wider than the
+        // kernel, windows that miss whole rows, non-square inputs.
+        let cases = [
+            (ConvGeometry::new(1, 1, 0), 3, 4, 5),
+            (ConvGeometry::new(3, 1, 1), 2, 5, 4),
+            (ConvGeometry::new(5, 1, 2), 2, 7, 6),
+            (ConvGeometry::new(3, 2, 1), 2, 7, 7),
+            (ConvGeometry::new(3, 2, 0), 1, 6, 9),
+            (ConvGeometry::new(2, 1, 3), 1, 3, 2),
+            (ConvGeometry::new(3, 3, 2), 2, 4, 5),
+        ];
+        for (geom, c, h, w) in cases {
+            for n in [1usize, 3] {
+                let x: Vec<f32> = (0..n * c * h * w).map(|i| i as f32 + 1.0).collect();
+                let mut buf = vec![-7.0f32; 5]; // stale contents must be overwritten
+                let (rows, cols) = im2col_batch_into(&x, n, c, h, w, geom, &mut buf).unwrap();
+                let pixels = geom.output_dim(h) * geom.output_dim(w);
+                assert_eq!((rows, cols), (c * geom.kernel * geom.kernel, n * pixels));
+                assert_eq!(buf.len(), rows * cols);
+                for img in 0..n {
+                    let one = reference_im2col(&x[img * c * h * w..][..c * h * w], c, h, w, geom);
+                    for r in 0..rows {
+                        assert_eq!(
+                            &buf[r * cols + img * pixels..][..pixels],
+                            &one[r * pixels..][..pixels],
+                            "{geom:?} c{c} {h}x{w} image {img} row {r}"
+                        );
+                    }
+                }
+            }
+        }
+        let mut buf = Vec::new();
+        assert!(
+            im2col_batch_into(&[0.0; 15], 2, 1, 3, 3, ConvGeometry::new(3, 1, 0), &mut buf)
+                .is_err()
+        );
+        assert!(
+            im2col_batch_into(&[0.0; 8], 2, 1, 2, 2, ConvGeometry::new(3, 1, 0), &mut buf).is_err()
+        );
     }
 
     #[test]

@@ -13,10 +13,27 @@
 //! `0 × ∞ = NaN` reach the output instead of being skipped, so upstream
 //! numerical blowups surface instead of being masked by zero weights.
 
+use std::cell::RefCell;
+
 use crate::{Shape, ShapeError, Tensor};
 
-/// Cache-blocking tile edge, tuned for 32 KiB L1 caches.
+/// Cache-blocking tile edge of the transposed (training-only) kernels.
 const BLOCK: usize = 64;
+
+/// Rows of `a` (output channels) per register tile of [`gemm_kernel`].
+const MR: usize = 2;
+/// Columns of `b` (output pixels) per register tile: four 4-lane SSE
+/// vectors, so an `MR × NR` tile is eight accumulator registers.
+const NR: usize = 16;
+/// Depth of a k-block. A multiple of four, so every k-group of the
+/// summation-order contract lies inside one block; one packed `KC × NR`
+/// panel of `b` is 16 KiB and stays L1-resident while a tile sweeps it.
+const KC: usize = 256;
+/// Width of a column block: the packed `KC × NC` block of `b` is
+/// 512 KiB, L2-resident while every row tile of `a` sweeps it.
+const NC: usize = 512;
+
+const _: () = assert!(KC.is_multiple_of(4) && NC.is_multiple_of(NR));
 
 fn expect_matrix(t: &Tensor, op: &str, name: &str) -> Result<(usize, usize), ShapeError> {
     if t.shape().rank() != 2 {
@@ -28,36 +45,80 @@ fn expect_matrix(t: &Tensor, op: &str, name: &str) -> Result<(usize, usize), Sha
     Ok((t.shape().dim(0), t.shape().dim(1)))
 }
 
-/// Core GEMM micro-kernel: `out[i][j] += sum_k a[i][k] * b[k][j]`.
+/// Core GEMM: `out[i][j] += sum_k a[i][k] * b[k][j]`.
 ///
-/// Blocked over `m` and `k`, with the `k` loop unrolled by four so each
-/// pass over an output row folds four rank-1 updates into one. `out` must
-/// already be zeroed (or hold a partial sum to accumulate onto).
+/// **Summation order (the contract every host output rests on).** Each
+/// output element adds `k` in aligned groups of four, each group folded as
+/// `((a0·b0 + a1·b1) + a2·b2) + a3·b3` before it joins the running sum,
+/// then the `k % 4` tail one term at a time. The blocking below only
+/// changes which element is worked on when, never that order, so results
+/// are bit-identical to the plain loop (see `reference_order` in the
+/// tests). `out` must already be zeroed (or hold a partial sum to
+/// accumulate onto).
 fn gemm_kernel(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    for i0 in (0..m).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(m);
-        for k0 in (0..k).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(k);
-            for i in i0..i1 {
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out[i * n..(i + 1) * n];
-                let mut kk = k0;
-                while kk + 4 <= k1 {
-                    let (a0, a1, a2, a3) = (arow[kk], arow[kk + 1], arow[kk + 2], arow[kk + 3]);
-                    let b0 = &b[kk * n..(kk + 1) * n];
-                    let b1 = &b[(kk + 1) * n..(kk + 2) * n];
-                    let b2 = &b[(kk + 2) * n..(kk + 3) * n];
-                    let b3 = &b[(kk + 3) * n..(kk + 4) * n];
-                    for (j, o) in orow.iter_mut().enumerate() {
-                        *o += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-                    }
-                    kk += 4;
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    PACKED.with_borrow_mut(|packed| {
+        let len = KC.min(k) * NC.min(n.next_multiple_of(NR));
+        if packed.len() < len {
+            packed.resize(len, 0.0);
+        }
+        blocked_gemm(m, k, n, a, b, out, packed);
+    });
+}
+
+thread_local! {
+    /// Per-thread packing scratch of [`gemm_kernel`] (at most `KC × NC`
+    /// floats), kept across calls so steady-state inference does not
+    /// allocate.
+    static PACKED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// [`gemm_kernel`]'s loop nest. `n` is cut into `NC`-wide column blocks
+/// and `k` into `KC`-deep blocks. Each `KC × NC` block of `b` is packed
+/// into `NR`-wide panels, reading `b` row by row so the packing streams
+/// even when the row stride is a power of two; every `MR × NR` output
+/// tile then accumulates in registers across one panel, and a row tile
+/// walks the panels left to right so `out` is touched in row order.
+fn blocked_gemm(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    packed: &mut [f32],
+) {
+    for j0 in (0..n).step_by(NC) {
+        let nc = NC.min(n - j0);
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
+            for kk in 0..kc {
+                let src = &b[(k0 + kk) * n + j0..][..nc];
+                for (p, run) in src.chunks(NR).enumerate() {
+                    packed[(p * kc + kk) * NR..][..run.len()].copy_from_slice(run);
                 }
-                for kr in kk..k1 {
-                    let aik = arow[kr];
-                    let brow = &b[kr * n..(kr + 1) * n];
-                    for (o, &bkj) in orow.iter_mut().zip(brow) {
-                        *o += aik * bkj;
+            }
+            let packed = &packed[..nc.div_ceil(NR) * kc * NR];
+            for i0 in (0..m).step_by(MR) {
+                let mr = MR.min(m - i0);
+                // Rows past `m` repeat the last row; their lanes are
+                // computed and dropped, as are columns past `n`.
+                let rows: [&[f32]; MR] = std::array::from_fn(|r| {
+                    let i = i0 + r.min(mr - 1);
+                    &a[i * k + k0..][..kc]
+                });
+                for (p, panel) in packed.chunks_exact(kc * NR).enumerate() {
+                    let jp = j0 + p * NR;
+                    let nr = NR.min(n - jp);
+                    let mut acc = [[0.0f32; NR]; MR];
+                    for (r, acc_row) in acc.iter_mut().enumerate().take(mr) {
+                        acc_row[..nr].copy_from_slice(&out[(i0 + r) * n + jp..][..nr]);
+                    }
+                    micro_tile(&rows, panel, &mut acc);
+                    for (r, acc_row) in acc.iter().enumerate().take(mr) {
+                        out[(i0 + r) * n + jp..][..nr].copy_from_slice(&acc_row[..nr]);
                     }
                 }
             }
@@ -65,10 +126,48 @@ fn gemm_kernel(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
     }
 }
 
+/// One `MR × NR` register tile over one packed k-block: the groups of
+/// four in contract order, then the block's tail (non-empty only in the
+/// last block, since `KC` is a multiple of four).
+///
+/// Kept out of line so its codegen does not depend on the caller: alone,
+/// the eight accumulators stay in registers and every group compiles to
+/// broadcast + `mulps`/`addps` over the packed panel.
+#[inline(never)]
+fn micro_tile(rows: &[&[f32]; MR], panel: &[f32], tile: &mut [[f32; NR]; MR]) {
+    let kc = rows[0].len();
+    let body = kc - kc % 4;
+    let mut acc = *tile;
+    let mut quads = rows.map(|row| row[..body].chunks_exact(4));
+    for bg in panel[..body * NR].chunks_exact(4 * NR) {
+        let (b0, rest) = bg.split_at(NR);
+        let (b1, rest) = rest.split_at(NR);
+        let (b2, b3) = rest.split_at(NR);
+        for (acc_row, quad) in acc.iter_mut().zip(quads.iter_mut()) {
+            let Some(&[a0, a1, a2, a3]) = quad.next() else {
+                unreachable!("every row holds one quad per panel group")
+            };
+            for j in 0..NR {
+                acc_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+            }
+        }
+    }
+    for kk in body..kc {
+        let brow = &panel[kk * NR..][..NR];
+        for (acc_row, row) in acc.iter_mut().zip(rows) {
+            let aik = row[kk];
+            for (o, &bkj) in acc_row.iter_mut().zip(brow) {
+                *o += aik * bkj;
+            }
+        }
+    }
+    *tile = acc;
+}
+
 /// `aᵀ × b` micro-kernel: `out[i][j] += sum_k a[k][i] * b[k][j]`.
 ///
-/// Mirrors [`gemm_kernel`]'s blocking and unroll grouping exactly, so the
-/// result is bit-identical to `gemm_kernel` run on a materialised `aᵀ`.
+/// Follows [`gemm_kernel`]'s summation order exactly, so the result is
+/// bit-identical to `gemm_kernel` run on a materialised `aᵀ`.
 fn gemm_ta_kernel(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     for i0 in (0..m).step_by(BLOCK) {
         let i1 = (i0 + BLOCK).min(m);
@@ -172,8 +271,10 @@ pub fn matmul_into(
 
 /// Matrix product `a × b` for row-major matrices.
 ///
-/// Uses i-k-j loop order with cache blocking and a four-way unrolled
-/// inner update, which vectorises well on the innermost contiguous axis.
+/// Packs `b` into cache-sized panels and accumulates register tiles,
+/// with a fixed per-element summation order: `k` in aligned groups of
+/// four, each folded as `((a0·b0 + a1·b1) + a2·b2) + a3·b3` before it
+/// joins the running sum, then the `k % 4` tail one term at a time.
 ///
 /// # Errors
 ///
@@ -378,6 +479,104 @@ mod tests {
                 let tol = 1e-3 + y.abs() * 1e-6;
                 assert!((x - y).abs() < tol, "mismatch {x} vs {y} at ({m},{k},{n})");
             }
+        }
+    }
+
+    /// Scalar spelling of the summation-order contract of [`gemm_kernel`]:
+    /// per output element, aligned groups of four folded as
+    /// `((a0·b0 + a1·b1) + a2·b2) + a3·b3` and added to the running sum in
+    /// k order, then the `k % 4` tail one term at a time.
+    fn reference_order(a: &Tensor, b: &Tensor) -> Vec<f32> {
+        let (m, k) = (a.shape().dim(0), a.shape().dim(1));
+        let n = b.shape().dim(1);
+        let (av, bv) = (a.as_slice(), b.as_slice());
+        let term = |i: usize, kk: usize, j: usize| av[i * k + kk] * bv[kk * n + j];
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                let mut kk = 0;
+                while kk + 4 <= k {
+                    let group = ((term(i, kk, j) + term(i, kk + 1, j)) + term(i, kk + 2, j))
+                        + term(i, kk + 3, j);
+                    acc += group;
+                    kk += 4;
+                }
+                for kr in kk..k {
+                    acc += term(i, kr, j);
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// Operands whose products span several binades, so any change of
+    /// summation order shows up in the low bits.
+    fn operands(m: usize, k: usize, n: usize) -> (Tensor, Tensor) {
+        let mut rng = crate::init::TensorRng::seed_from((m * 31 + k * 7 + n) as u64);
+        let a = rng.normal(Shape::matrix(m, k), 0.0, 1.0);
+        let b = rng
+            .normal(Shape::matrix(k, n), 0.0, 1.0)
+            .map(|v| v * (1.0 + 1e3 * v.abs()));
+        (a, b)
+    }
+
+    fn assert_matches_reference_order(m: usize, k: usize, n: usize) {
+        let (a, b) = operands(m, k, n);
+        let want = reference_order(&a, &b);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let got = matmul(&a, &b).unwrap();
+        assert!(
+            bits(got.as_slice()) == bits(&want),
+            "matmul ({m},{k},{n}) departs from the contract order"
+        );
+        let mut buf = vec![f32::NAN; 3]; // stale contents must not leak
+        matmul_into(&a, &b, &mut buf).unwrap();
+        assert!(
+            bits(&buf) == bits(&want),
+            "matmul_into ({m},{k},{n}) departs from the contract order"
+        );
+    }
+
+    #[test]
+    fn matmul_is_bit_identical_to_the_contract_order_across_block_edges() {
+        // Every block edge: MR row tails (m odd), NR and NC column tails,
+        // KC block boundaries, and each k % 4 residue in the last block.
+        for m in [1, 2, 3, 5] {
+            for k in [0, 1, 2, 3, 4, 5, 7] {
+                for n in [1, 15, 16, 17, 33] {
+                    assert_matches_reference_order(m, k, n);
+                }
+            }
+        }
+        for (m, k, n) in [
+            (3, KC - 1, NR + 1),
+            (3, KC, NC - 1),
+            (2, KC + 1, NC),
+            (5, KC + 2, NC + 1),
+            (4, 2 * KC + 3, NC + NR + 3),
+            (1, 3 * KC, 2 * NC + 5),
+        ] {
+            assert_matches_reference_order(m, k, n);
+        }
+    }
+
+    #[test]
+    #[ignore = "paper layer shapes: run in release (`--include-ignored`)"]
+    fn matmul_is_bit_identical_to_the_contract_order_on_paper_layer_shapes() {
+        // Host conv layers on a 16-image sub-batch: Model A's three 5×5
+        // stages, Model B's 5×5-192 at 15×15 and 1×1 192→160 at 32×32,
+        // and the 1×1 192→10 classifier at 7×7.
+        for (m, k, n) in [
+            (32, 75, 16 * 1024),
+            (32, 800, 16 * 225),
+            (64, 800, 16 * 49),
+            (192, 2400, 16 * 225),
+            (160, 192, 16 * 1024),
+            (10, 192, 16 * 49),
+        ] {
+            assert_matches_reference_order(m, k, n);
         }
     }
 

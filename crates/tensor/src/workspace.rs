@@ -2,7 +2,7 @@
 //! inference.
 //!
 //! The hot inference path lowers every convolution through
-//! [`crate::conv::im2col_slice_into`] and a GEMM `_into` variant
+//! [`crate::conv::im2col_batch_into`] and a GEMM `_into` variant
 //! (see [`crate::linalg`]). Those kernels write into caller-owned
 //! `Vec<f32>` buffers; a [`Workspace`] pools such buffers so a layer can
 //! borrow scratch space per image and hand it back, keeping steady-state
