@@ -18,6 +18,11 @@
 //! The graceful-degradation contract checked here: **every image always
 //! gets a prediction**, and accuracy cannot fall below the standalone-BNN
 //! floor minus the (reported) degraded fraction.
+//!
+//! Every fault plan of sweeps 1–2 runs under both executors. The tables
+//! and the record report the Threaded run; the binary exits non-zero
+//! after writing the record if the Modeled run differs from it on any
+//! field but `wall_seconds` and `backpressure_events`.
 
 // Every run goes through `execute` + `RunOptions`.
 #![deny(deprecated)]
@@ -25,7 +30,7 @@
 use mp_bench::{CliOptions, TextTable};
 use mp_core::experiment::TrainedSystem;
 use mp_core::model;
-use mp_core::{DegradationPolicy, FaultPlan};
+use mp_core::{DegradationPolicy, FaultPlan, PipelineResult, RunOptions};
 use mp_fpga::{StreamFaults, StreamSim};
 use mp_host::zoo::ModelId;
 use serde::Serialize;
@@ -79,6 +84,35 @@ struct Record {
     stream_stall_sweep: Vec<StreamPoint>,
 }
 
+/// Runs `opts` under both executors and returns the Threaded result,
+/// after counting in `mismatches` (with a report on stderr) a Modeled
+/// run that differs from it on any field but the wall clock and the
+/// backpressure count.
+fn execute_both(
+    system: &TrainedSystem,
+    id: ModelId,
+    opts: &RunOptions<'_>,
+    scenario: &str,
+    mismatches: &mut usize,
+) -> PipelineResult {
+    let run = |opts: RunOptions<'_>| {
+        system
+            .execute(id, &opts)
+            .expect("chaos pipeline degrades instead of failing")
+    };
+    let threaded = run(opts.clone().threaded());
+    let mut modeled = run(opts.clone().modeled());
+    modeled.wall_seconds = threaded.wall_seconds;
+    modeled.backpressure_events = threaded.backpressure_events;
+    if modeled != threaded {
+        *mismatches += 1;
+        eprintln!(
+            "executor mismatch ({scenario}):\n  modeled:  {modeled:?}\n  threaded: {threaded:?}"
+        );
+    }
+    threaded
+}
+
 fn main() {
     let opts = CliOptions::parse();
     let config = opts.experiment_config();
@@ -103,14 +137,16 @@ fn main() {
         "img/s (retry-adj)",
     ]);
     let mut host_points = Vec::new();
+    let mut mismatches = 0usize;
     for rate in [0.0, 0.05, 0.1, 0.2, 0.4, 0.8] {
         let plan = FaultPlan::seeded(opts.seed).with_host_error_rate(rate);
-        let r = system
-            .execute(
-                id,
-                &base_opts.clone().with_faults(plan).with_degradation(policy),
-            )
-            .expect("chaos pipeline degrades instead of failing");
+        let r = execute_both(
+            &system,
+            id,
+            &base_opts.clone().with_faults(plan).with_degradation(policy),
+            &format!("fault rate {rate:.2}"),
+            &mut mismatches,
+        );
         assert_eq!(
             r.predictions.len(),
             r.total_images,
@@ -177,12 +213,13 @@ fn main() {
         ),
     ];
     for (name, plan) in cases {
-        let r = system
-            .execute(
-                id,
-                &base_opts.clone().with_faults(plan).with_degradation(policy),
-            )
-            .expect("chaos pipeline degrades instead of failing");
+        let r = execute_both(
+            &system,
+            id,
+            &base_opts.clone().with_faults(plan).with_degradation(policy),
+            &name,
+            &mut mismatches,
+        );
         table.row(&[
             name.clone(),
             format!("{:.3}", r.accuracy),
@@ -245,4 +282,10 @@ fn main() {
             stream_stall_sweep: stream_points,
         },
     );
+    if mismatches > 0 {
+        eprintln!(
+            "chaos_ablation: {mismatches} fault plans ran differently under the two executors"
+        );
+        std::process::exit(1);
+    }
 }

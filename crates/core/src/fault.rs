@@ -9,16 +9,18 @@
 //!   inference errors, per-image latency spikes, host-worker death, and
 //!   FPGA stream faults (via [`mp_fpga::StreamFaults`]) — all keyed on a
 //!   seed so a chaos run replays byte-identically;
-//! - [`FaultInjector`] turns the plan into per-image, per-attempt
-//!   decisions with a stateless hash (no RNG state to share across the
-//!   pipeline's threads);
 //! - [`DegradationPolicy`] describes *what the pipeline does about it* —
 //!   a retry budget with exponential backoff, a per-image host deadline,
 //!   and a circuit breaker that trips to BNN-only mode after `N`
 //!   consecutive host failures, with periodic recovery probing;
-//! - [`CircuitBreaker`] is the policy's state machine;
 //! - [`FaultEvent`] / [`DegradationStats`] are the audit trail surfaced
 //!   in [`PipelineResult`](crate::PipelineResult).
+//!
+//! Inside the crate, one host replay applies the plan and the policy to
+//! the flagged images in arrival order, with a stateless per-image,
+//! per-attempt hash and the breaker's state machine. Both executors run
+//! their host stage through it, so a plan degrades the same images with
+//! the same fault log under either.
 //!
 //! Injected latency is *virtual*: the injector reports what the latency
 //! would have been and the policy compares it with the deadline, so
@@ -30,7 +32,9 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use mp_fpga::StreamFaults;
+use mp_obs::{schema, Recorder};
 
+use crate::run::RunOptions;
 use crate::CoreError;
 
 /// A seeded description of the faults to inject into one pipeline run.
@@ -56,8 +60,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The fault-free plan: a threaded `execute` under it is
-    /// functionally identical to the modelled executor.
+    /// The fault-free plan: no image degrades, under either executor.
     pub fn none() -> Self {
         Self {
             seed: 0,
@@ -257,7 +260,8 @@ pub enum FaultEvent {
         /// Retries it took.
         retries: u32,
     },
-    /// A flagged image fell back to its BNN prediction.
+    /// An image that entered the host stage kept the prediction of the
+    /// stage that escalated it (the BNN's in the 2-stage shape).
     Fallback {
         /// Image index.
         image: usize,
@@ -276,8 +280,8 @@ pub enum FaultEvent {
         /// Image index of the successful probe.
         image: usize,
     },
-    /// The host worker thread died; every flagged image without a
-    /// delivered prediction falls back to the BNN.
+    /// The host worker died; every image that entered the host stage
+    /// falls back.
     WorkerDied {
         /// Panic payload or failure description.
         detail: String,
@@ -287,7 +291,7 @@ pub enum FaultEvent {
 /// Degradation accounting for one pipeline run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DegradationStats {
-    /// Flagged images that fell back to their BNN prediction.
+    /// Images that entered the host stage and fell back.
     pub degraded_count: usize,
     /// Host inference retries performed.
     pub retries: usize,
@@ -307,7 +311,7 @@ pub struct DegradationStats {
 
 /// The fault an injector chose for one host inference attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HostFault {
+enum HostFault {
     /// The attempt fails transiently.
     Transient,
     /// The attempt completes but takes `latency_s` (virtual) seconds.
@@ -324,30 +328,22 @@ pub enum HostFault {
 /// images were processed before — the property the chaos determinism
 /// tests rely on.
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+struct FaultInjector {
     plan: FaultPlan,
 }
 
 impl FaultInjector {
-    /// Creates an injector for `plan`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if the plan is invalid.
-    pub fn new(plan: FaultPlan) -> Result<Self, CoreError> {
+    /// Creates an injector for `plan`, or [`CoreError::InvalidConfig`]
+    /// if the plan is invalid.
+    fn new(plan: FaultPlan) -> Result<Self, CoreError> {
         plan.validate()?;
         Ok(Self { plan })
-    }
-
-    /// The plan behind this injector.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// The fault (if any) injected into attempt `attempt` of re-running
     /// image `image` on the host. Transient errors take precedence over
     /// spikes; retries re-roll both, so an image can recover.
-    pub fn host_fault(&self, image: usize, attempt: u32) -> Option<HostFault> {
+    fn host_fault(&self, image: usize, attempt: u32) -> Option<HostFault> {
         if self.plan.host_error_rate > 0.0
             && unit_hash(self.plan.seed, image as u64, u64::from(attempt), 0)
                 < self.plan.host_error_rate
@@ -366,7 +362,7 @@ impl FaultInjector {
     }
 
     /// After how many processed flagged images the host worker dies.
-    pub fn host_death_after(&self) -> Option<usize> {
+    fn host_death_after(&self) -> Option<usize> {
         self.plan.host_death_after
     }
 }
@@ -376,7 +372,7 @@ impl FaultInjector {
 /// Closed → (N consecutive failures) → Open → (every `probe_every`
 /// flagged images, one half-open probe) → Closed on probe success.
 #[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+struct CircuitBreaker {
     threshold: u32,
     probe_every: u32,
     consecutive_failures: u32,
@@ -387,7 +383,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// Creates a breaker following `policy`.
-    pub fn new(policy: &DegradationPolicy) -> Self {
+    fn new(policy: &DegradationPolicy) -> Self {
         Self {
             threshold: policy.breaker_threshold.max(1),
             probe_every: policy.breaker_probe_every.max(1),
@@ -399,24 +395,25 @@ impl CircuitBreaker {
     }
 
     /// Whether the breaker is open (BNN-only mode).
-    pub fn is_open(&self) -> bool {
+    #[cfg(test)]
+    fn is_open(&self) -> bool {
         self.open
     }
 
     /// Consecutive failures observed since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
+    fn consecutive_failures(&self) -> u32 {
         self.consecutive_failures
     }
 
     /// Times the breaker has tripped open.
-    pub fn trips(&self) -> usize {
+    fn trips(&self) -> usize {
         self.trips
     }
 
     /// Decides whether the next flagged image should attempt the host.
     /// Closed: always. Open: only every `probe_every`-th image (a
     /// half-open recovery probe).
-    pub fn should_attempt(&mut self) -> bool {
+    fn should_attempt(&mut self) -> bool {
         if !self.open {
             return true;
         }
@@ -431,7 +428,7 @@ impl CircuitBreaker {
 
     /// Records a successful host inference. Returns `true` if this
     /// closed an open breaker (a recovery).
-    pub fn record_success(&mut self) -> bool {
+    fn record_success(&mut self) -> bool {
         self.consecutive_failures = 0;
         let recovered = self.open;
         self.open = false;
@@ -440,7 +437,7 @@ impl CircuitBreaker {
 
     /// Records a failed host inference. Returns `true` if this tripped
     /// the breaker open.
-    pub fn record_failure(&mut self) -> bool {
+    fn record_failure(&mut self) -> bool {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         if !self.open && self.consecutive_failures >= self.threshold {
             self.open = true;
@@ -449,6 +446,152 @@ impl CircuitBreaker {
             true
         } else {
             false
+        }
+    }
+}
+
+/// What [`HostReplay::decide`] chose for one flagged image.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Decision {
+    /// The image survived the plan: re-infer it on the host.
+    Rerun,
+    /// The policy gave up on the host for this image, which keeps the
+    /// prediction of the stage that escalated it. The fault that
+    /// exhausted the policy is in the fault log.
+    Fallback,
+    /// The planned host-worker death strikes at this image.
+    Die,
+}
+
+/// The degradation policy replayed over one run's flagged images: the
+/// injected worker death, the circuit breaker, the retries with their
+/// virtual backoff, and the fault log.
+///
+/// A decision depends only on arrival order, `(image, attempt)` and
+/// breaker state — never on inference results — so the images that
+/// survive can be re-inferred later in batches, and every executor
+/// that feeds its host stage through one replay degrades the same
+/// images with a byte-identical log.
+pub(crate) struct HostReplay<'r> {
+    injector: FaultInjector,
+    policy: DegradationPolicy,
+    breaker: CircuitBreaker,
+    arrivals: usize,
+    stats: DegradationStats,
+    rec: &'r dyn Recorder,
+}
+
+impl<'r> HostReplay<'r> {
+    /// The replay of `opts`' fault plan under its degradation policy,
+    /// or [`CoreError::InvalidConfig`] if either is invalid.
+    pub(crate) fn new(opts: &RunOptions<'r>) -> Result<Self, CoreError> {
+        let policy = *opts.degradation_policy();
+        policy.validate()?;
+        Ok(Self {
+            injector: FaultInjector::new(opts.fault_plan().clone())?,
+            breaker: CircuitBreaker::new(&policy),
+            policy,
+            arrivals: 0,
+            stats: DegradationStats::default(),
+            rec: opts.recorder(),
+        })
+    }
+
+    /// Decides the next flagged image to arrive at the host stage.
+    pub(crate) fn decide(&mut self, image: usize) -> Decision {
+        let arrival = self.arrivals;
+        self.arrivals += 1;
+        if self.injector.host_death_after() == Some(arrival) {
+            return Decision::Die;
+        }
+        if !self.breaker.should_attempt() {
+            return self.fall_back(image, FaultKind::BreakerOpen);
+        }
+        let policy = self.policy;
+        let mut attempt: u32 = 0;
+        let mut backoff_spent = 0.0f64;
+        let decision = loop {
+            self.stats.host_attempts += 1;
+            let fault = match self.injector.host_fault(image, attempt) {
+                Some(HostFault::Transient) => Some(FaultKind::HostTransient),
+                Some(HostFault::Spike { latency_s }) if latency_s > policy.host_deadline_s => {
+                    Some(FaultKind::HostTimeout)
+                }
+                // A spike under the deadline completes normally.
+                Some(HostFault::Spike { .. }) | None => None,
+            };
+            let log = &mut self.stats.fault_log;
+            let Some(kind) = fault else {
+                if attempt > 0 {
+                    log.push(FaultEvent::Recovered {
+                        image,
+                        retries: attempt,
+                    });
+                }
+                if self.breaker.record_success() {
+                    log.push(FaultEvent::BreakerClosed { image });
+                }
+                break Decision::Rerun;
+            };
+            log.push(FaultEvent::HostFault {
+                image,
+                attempt,
+                kind,
+            });
+            let next_backoff = policy.backoff_base_s * f64::from(1u32 << attempt.min(20));
+            if attempt < policy.max_retries
+                && backoff_spent + next_backoff <= policy.backoff_budget_s
+            {
+                backoff_spent += next_backoff;
+                self.stats.retries += 1;
+                attempt += 1;
+                continue;
+            }
+            if self.breaker.record_failure() {
+                log.push(FaultEvent::BreakerOpened {
+                    image,
+                    consecutive_failures: self.breaker.consecutive_failures(),
+                });
+            }
+            break self.fall_back(image, kind);
+        };
+        self.stats.virtual_backoff_s += backoff_spent;
+        if backoff_spent > 0.0 {
+            self.rec.observe(schema::HIST_BACKOFF_S, backoff_spent);
+        }
+        decision
+    }
+
+    fn fall_back(&mut self, image: usize, kind: FaultKind) -> Decision {
+        self.stats.degraded_count += 1;
+        self.stats
+            .fault_log
+            .push(FaultEvent::Fallback { image, kind });
+        Decision::Fallback
+    }
+
+    /// Records the death of the host worker (planned or a real panic):
+    /// everything it decided dies with it, so the log restarts at the
+    /// death and every image that `entered` the host stage falls back.
+    pub(crate) fn worker_died(&mut self, detail: String, entered: &[usize]) {
+        let mut fault_log = vec![FaultEvent::WorkerDied { detail }];
+        fault_log.extend(entered.iter().map(|&image| FaultEvent::Fallback {
+            image,
+            kind: FaultKind::HostWorkerDeath,
+        }));
+        self.stats = DegradationStats {
+            degraded_count: entered.len(),
+            fault_log,
+            ..DegradationStats::default()
+        };
+        self.breaker = CircuitBreaker::new(&self.policy);
+    }
+
+    /// The run's degradation accounting.
+    pub(crate) fn into_stats(self) -> DegradationStats {
+        DegradationStats {
+            breaker_trips: self.breaker.trips(),
+            ..self.stats
         }
     }
 }
@@ -639,9 +782,10 @@ impl Default for FleetFaultPlan {
     }
 }
 
-/// Panic message used for injected host-worker death; the pipeline
-/// recognises real panics by the same join-path, this constant only
-/// lets test harnesses silence the expected noise.
+/// Panic message used for injected host-worker death, and the detail of
+/// the [`FaultEvent::WorkerDied`] it leaves under either executor; the
+/// pipeline recognises real panics by the same join-path, this constant
+/// only lets test harnesses silence the expected noise.
 pub const INJECTED_DEATH_MSG: &str = "injected host worker death";
 
 /// Installs (once) a panic hook that suppresses the backtrace noise of

@@ -66,8 +66,8 @@ pub use cascade::{
 pub use dmu::{ConfusionQuadrants, Dmu, DmuError};
 pub use error::CoreError;
 pub use fault::{
-    CircuitBreaker, DegradationPolicy, DegradationStats, FaultEvent, FaultInjector, FaultKind,
-    FaultPlan, FleetFaultPlan, ReplicaFault, ReplicaFaultEvent,
+    DegradationPolicy, DegradationStats, FaultEvent, FaultKind, FaultPlan, FleetFaultPlan,
+    ReplicaFault, ReplicaFaultEvent,
 };
 pub use pipeline::{
     modeled_batch_time, modeled_cascade_time, MultiPrecisionPipeline, PipelineResult,

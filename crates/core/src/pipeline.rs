@@ -16,17 +16,21 @@
 //!   the concurrent structure of Fig. 2 (its wall-clock time reflects
 //!   this machine, not the ZC702).
 //!
-//! Both executors build their [`PipelineResult`] through one function
-//! fed with per-stage traffic, so the two agree field for field.
+//! Both executors re-infer the flagged images through one host path and
+//! build their [`PipelineResult`] through one function fed with
+//! per-stage traffic, so the two agree field for field.
 //!
-//! The threaded executor is built for a *misbehaving* host:
+//! Either executor is built for a *misbehaving* host:
 //! [`RunOptions::with_faults`] injects a seeded [`FaultPlan`](crate::fault::FaultPlan) under a
 //! [`RunOptions::with_degradation`] policy, and the pipeline guarantees
 //! that every image still receives a prediction — recoverable host
-//! faults (errors, latency spikes, even worker death) degrade the
-//! flagged subset to its BNN predictions instead of aborting the run,
-//! with the degradation fully accounted in the extended
-//! [`PipelineResult`].
+//! faults (errors, latency spikes, even worker death) degrade the images
+//! that reach the host to the prediction of the stage that escalated
+//! them instead of aborting the run, with the degradation fully
+//! accounted in the extended [`PipelineResult`]. The fault decisions are
+//! replayed in flagged arrival order, so a plan yields the same result
+//! under both executors except for the wall clock and the backpressure
+//! count.
 //!
 //! Every run is observable: [`RunOptions::with_recorder`] attaches an
 //! [`mp_obs::Recorder`] that receives spans (whole run, BNN+DMU stage,
@@ -43,14 +47,11 @@ use mp_bnn::HardwareBnn;
 use mp_dataset::Dataset;
 use mp_nn::Network;
 use mp_obs::{now_ns, schema, ObsEvent, Recorder};
-use mp_tensor::{nan_aware_argmax, Parallelism, Shape, ShapeError, Tensor};
+use mp_tensor::{nan_aware_argmax, Parallelism, ShapeError};
 
 use crate::cascade::{gate_accepts, CascadePolicy, StageClassifier};
 use crate::dmu::{ConfusionQuadrants, Dmu};
-use crate::fault::{
-    CircuitBreaker, DegradationPolicy, DegradationStats, FaultEvent, FaultInjector, FaultKind,
-    HostFault, INJECTED_DEATH_MSG,
-};
+use crate::fault::{Decision, DegradationStats, FaultEvent, HostReplay, INJECTED_DEATH_MSG};
 use crate::model;
 use crate::run::{Concurrency, Precision, RunOptions};
 use crate::CoreError;
@@ -151,8 +152,9 @@ pub struct PipelineResult {
     pub stage_traffic: Vec<StageTraffic>,
     /// Wall-clock seconds when run with [`Concurrency::Threaded`].
     pub wall_seconds: Option<f64>,
-    /// Flagged images that fell back to their BNN prediction because the
-    /// host misbehaved (fault-injected or real).
+    /// Images that entered the host stage but kept the prediction of the
+    /// stage that escalated them (the BNN's in the 2-stage shape)
+    /// because the host misbehaved (fault-injected or real).
     pub degraded_count: usize,
     /// Host inference retries performed under the degradation policy.
     pub retries: usize,
@@ -203,28 +205,37 @@ impl<'a> MultiPrecisionPipeline<'a> {
     /// paper's modelled `async(1)`/`wait(1)` batch time. With
     /// [`Concurrency::Threaded`] the FPGA simulator and the host network
     /// run on separate threads connected by a channel **bounded** by
-    /// [`PipelineTiming::batch_size`], wall-clock time is reported, and
-    /// an injected [`FaultPlan`](crate::fault::FaultPlan) exercises the degradation machinery:
+    /// [`PipelineTiming::batch_size`], and wall-clock time is reported;
+    /// a stalled host back-pressures the producer (counted in
+    /// [`PipelineResult::backpressure_events`]) instead of queueing
+    /// unboundedly.
     ///
-    /// - a stalled host back-pressures the producer (counted in
-    ///   [`PipelineResult::backpressure_events`]) instead of queueing
-    ///   unboundedly;
+    /// Under either executor an injected
+    /// [`FaultPlan`](crate::fault::FaultPlan) exercises the degradation
+    /// machinery on the images that reach the host stage:
+    ///
     /// - a failed host attempt is retried with exponential (virtual)
     ///   backoff within the policy's budget; exhaustion falls the image
-    ///   back to its BNN prediction;
+    ///   back to the prediction of the stage that escalated it;
     /// - an injected latency spike beyond
-    ///   [`DegradationPolicy::host_deadline_s`] is a timeout fault;
-    /// - after [`DegradationPolicy::breaker_threshold`] consecutive
-    ///   failures the circuit breaker trips to BNN-only mode, probing
-    ///   the host every
-    ///   [`DegradationPolicy::breaker_probe_every`] flagged images;
-    /// - host-worker death (injected or a real panic) can never take the
-    ///   pipeline down: it is recorded as the typed
-    ///   [`CoreError::HostWorker`] in the fault log, every undelivered
-    ///   flagged image falls back to the BNN, and the run completes.
+    ///   [`DegradationPolicy::host_deadline_s`](crate::fault::DegradationPolicy::host_deadline_s)
+    ///   is a timeout fault;
+    /// - after
+    ///   [`DegradationPolicy::breaker_threshold`](crate::fault::DegradationPolicy::breaker_threshold)
+    ///   consecutive failures the circuit breaker trips to BNN-only
+    ///   mode, probing the host every
+    ///   [`DegradationPolicy::breaker_probe_every`](crate::fault::DegradationPolicy::breaker_probe_every)
+    ///   flagged images;
+    /// - host-worker death (injected, or a real panic of the threaded
+    ///   worker) can never take the pipeline down: it is recorded as
+    ///   the typed [`CoreError::HostWorker`] in the fault log, every
+    ///   image that entered the host stage falls back, and the run
+    ///   completes.
     ///
-    /// Every image therefore always receives a prediction, and with
-    /// [`FaultPlan::none`](crate::fault::FaultPlan::none) the two modes are functionally identical.
+    /// Every image therefore always receives a prediction, and the two
+    /// executors agree on every field but
+    /// [`PipelineResult::wall_seconds`] and
+    /// [`PipelineResult::backpressure_events`], under any plan.
     ///
     /// The recorder attached via [`RunOptions::with_recorder`] receives
     /// the whole-run span, the BNN+DMU stage span, host-rerun batch
@@ -237,11 +248,11 @@ impl<'a> MultiPrecisionPipeline<'a> {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the DMU's class count
-    /// differs from the BNN's, a fault plan is combined with
-    /// [`Concurrency::Modeled`], or the policy or precision cannot run
-    /// on the selected executor; otherwise [`CoreError`] on shape
-    /// inconsistencies, invalid plan/policy, or *real* (non-injected)
-    /// host inference errors — never for recoverable injected faults.
+    /// differs from the BNN's, the fault plan or degradation policy is
+    /// invalid, or the cascade policy or precision cannot run on the
+    /// selected executor; otherwise [`CoreError`] on shape
+    /// inconsistencies or *real* (non-injected) host inference errors —
+    /// never for recoverable injected faults.
     pub fn execute(
         &self,
         host: &Network,
@@ -260,13 +271,6 @@ impl<'a> MultiPrecisionPipeline<'a> {
         let t_exec = rec.enabled().then(now_ns);
         let result = match opts.concurrency() {
             Concurrency::Modeled => {
-                if !opts.fault_plan().is_none() {
-                    return Err(CoreError::InvalidConfig(
-                        "fault injection requires the threaded executor \
-                         (RunOptions::threaded or with_faults)"
-                            .into(),
-                    ));
-                }
                 if matches!(opts.precision(), Precision::Float32)
                     && policy.dmu_threshold().is_none()
                 {
@@ -314,7 +318,9 @@ impl<'a> MultiPrecisionPipeline<'a> {
     /// BNN-side accounting (`bnn_accuracy`, DMU quadrants, `flagged`)
     /// is the correctness and acceptance of the first stage. The float32
     /// corner is the 2-stage policy whose stage 0 runs the 1-bit engine
-    /// and accepts nothing, so every image reaches the host.
+    /// and accepts nothing, so every image reaches the host. The host
+    /// stage replays the run's fault plan over its entering images in
+    /// order, exactly as the threaded worker does.
     fn execute_cascade(
         &self,
         host: &Network,
@@ -327,6 +333,7 @@ impl<'a> MultiPrecisionPipeline<'a> {
         let n = data.len();
         let labels = data.labels();
         let float_corner = matches!(opts.precision(), Precision::Float32);
+        let mut replay = HostReplay::new(opts)?;
         let mut run = RunRecord::new(n);
         let mut active: Vec<usize> = (0..n).collect();
         for (s, stage) in policy.stages().iter().enumerate() {
@@ -337,9 +344,10 @@ impl<'a> MultiPrecisionPipeline<'a> {
             let t0 = rec.enabled().then(now_ns);
             let (preds, conf) = match &stage.classifier {
                 StageClassifier::HostFloat => {
-                    run.reruns.extend_from_slice(&active);
+                    let reran =
+                        rerun_flagged(host, data, active.iter().copied(), &mut replay, par, rec);
                     (
-                        infer_host_subset(host, data, &active, par, rec)?,
+                        settle_host_stage(&mut run, &active, reran, &mut replay)?,
                         Vec::new(),
                     )
                 }
@@ -382,11 +390,13 @@ impl<'a> MultiPrecisionPipeline<'a> {
                 Some(g) => !accepts_nothing && gate_accepts(conf[j], g),
             });
         }
-        Ok(run.into_result(data, policy, opts, None, DegradationStats::default()))
+        Ok(run.into_result(data, policy, opts, None, replay.into_stats()))
     }
 
     /// The [`Concurrency::Threaded`] executor: the 2-stage `policy`
-    /// (stage 0 gated at `threshold`) on two threads.
+    /// (stage 0 gated at `threshold`) on two threads. The host worker
+    /// runs the shared host path over the flagged indices as they
+    /// arrive.
     fn execute_threaded(
         &self,
         host: &Network,
@@ -397,35 +407,43 @@ impl<'a> MultiPrecisionPipeline<'a> {
         par: Parallelism,
     ) -> Result<PipelineResult, CoreError> {
         let timing = opts.timing();
-        let degradation = opts.degradation_policy();
         let rec = opts.recorder();
-        degradation.validate()?;
-        let injector = FaultInjector::new(opts.fault_plan().clone())?;
-        if injector.host_death_after().is_some() {
+        let mut replay = HostReplay::new(opts)?;
+        if opts.fault_plan().host_death_after.is_some() {
             // A planned kill is expected noise, not a crash report.
             crate::fault::silence_injected_panics();
         }
         let start = std::time::Instant::now();
         let n = data.len();
-        // Satellite fix: bounded channel sized from the FPGA batch, so a
-        // stalled host applies back-pressure instead of growing memory.
-        let (tx, rx) = channel::bounded::<(usize, Tensor)>(timing.batch_size);
-        let degradation = *degradation;
-        let injector_ref = &injector;
+        // Bounded channel sized from the FPGA batch, so a stalled host
+        // applies back-pressure instead of growing memory. It carries
+        // image indices: the worker gathers its batches from `data`.
+        let (tx, rx) = channel::bounded::<usize>(timing.batch_size);
+        let replay_ref = &mut replay;
         // The crossbeam stub channel exposes no occupancy, so the queue
         // depth is mirrored in an atomic — maintained only while a
         // recorder is attached (it never influences control flow).
         let queue_depth = AtomicUsize::new(0);
         let depth_obs: Option<(&dyn Recorder, &AtomicUsize)> =
             rec.enabled().then_some((rec, &queue_depth));
-        type WorkerJoin = Result<HostWorkerOutput, CoreError>;
-        type Produced = (Vec<usize>, Vec<bool>, usize, WorkerJoin);
-        let (bnn_preds, kept, backpressure_events, worker_out) =
+        type Produced = (Vec<usize>, Vec<bool>, usize, Result<Reran, CoreError>);
+        let (bnn_preds, kept, backpressure_events, reran) =
             std::thread::scope(|scope| -> Result<Produced, CoreError> {
-                // Host worker: re-infers flagged images as they arrive,
-                // applying the degradation policy per image.
-                let worker = scope.spawn(move || -> Result<HostWorkerOutput, CoreError> {
-                    host_worker_loop(host, rx, injector_ref, &degradation, par, depth_obs)
+                // Host worker: re-infers flagged images as they arrive.
+                let worker = scope.spawn(move || -> Result<Reran, CoreError> {
+                    let arrivals = rx.into_iter().inspect(|_| {
+                        if let Some((_, depth)) = depth_obs {
+                            depth.fetch_sub(1, Ordering::Relaxed);
+                        }
+                    });
+                    let reran = rerun_flagged(host, data, arrivals, replay_ref, par, rec);
+                    if let Err(CoreError::HostWorker(_)) = reran {
+                        // A planned death kills the thread for real: the
+                        // producer must survive a genuinely dead worker,
+                        // not a polite error.
+                        std::panic::panic_any(INJECTED_DEATH_MSG);
+                    }
+                    reran
                 });
                 // "FPGA" side: the block-pipelined stage graph. The BNN
                 // runs the batched `IMG_BLOCK` fast path over one block
@@ -433,9 +451,9 @@ impl<'a> MultiPrecisionPipeline<'a> {
                 // flagged subset to the host worker, then starts on the
                 // next block while the worker re-infers — the real-thread
                 // mirror of `modeled_batch_time`'s `async(1)`/`wait(1)`
-                // overlap. Flagged images are still sent one at a time in
-                // index order, so the worker loop, fault arrival order,
-                // and channel backpressure semantics are unchanged.
+                // overlap. Flagged images are sent one at a time in index
+                // order, so fault arrival order and channel backpressure
+                // semantics do not depend on the block size.
                 let mut bnn_preds = Vec::with_capacity(n);
                 let mut kept = Vec::with_capacity(n);
                 let mut backpressure_events = 0usize;
@@ -484,7 +502,6 @@ impl<'a> MultiPrecisionPipeline<'a> {
                         bnn_preds.push(pred);
                         kept.push(keep);
                         if !keep && !worker_gone {
-                            let image = data.images().batch_item(i)?;
                             // Count the item before it becomes visible to
                             // the worker; incrementing after delivery races
                             // the worker's decrement and the mirror goes
@@ -492,7 +509,7 @@ impl<'a> MultiPrecisionPipeline<'a> {
                             if let Some((_, depth)) = depth_obs {
                                 depth.fetch_add(1, Ordering::Relaxed);
                             }
-                            let delivered = match tx.try_send((i, image)) {
+                            let delivered = match tx.try_send(i) {
                                 Ok(()) => true,
                                 Err(TrySendError::Full(msg)) => {
                                     backpressure_events += 1;
@@ -536,76 +553,28 @@ impl<'a> MultiPrecisionPipeline<'a> {
                     block_start = block_end;
                 }
                 drop(tx);
-                // Satellite fix: no `expect` — a worker panic becomes a
-                // typed error handled by the degradation path.
-                let joined: WorkerJoin = match worker.join() {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        let detail = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "host worker panicked".into());
-                        Err(CoreError::HostWorker(detail))
-                    }
-                };
+                // No `expect`: a worker panic becomes a typed error that
+                // the host stage settles as worker death.
+                let joined = worker.join().unwrap_or_else(|payload| {
+                    let detail = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "host worker panicked".into());
+                    Err(CoreError::HostWorker(detail))
+                });
                 Ok((bnn_preds, kept, backpressure_events, joined))
             })?;
-        let mut stats = DegradationStats {
-            backpressure_events,
-            ..DegradationStats::default()
-        };
-        let outcomes = match worker_out {
-            Ok(out) => {
-                stats.retries = out.retries;
-                stats.host_attempts = out.attempts;
-                stats.breaker_trips = out.breaker_trips;
-                stats.virtual_backoff_s = out.virtual_backoff_s;
-                stats.fault_log = out.log;
-                out.outcomes
-            }
-            // Worker death is recoverable: degrade every flagged image.
-            Err(CoreError::HostWorker(detail)) => {
-                stats.fault_log.push(FaultEvent::WorkerDied { detail });
-                Vec::new()
-            }
-            // Real host inference errors keep their zero-fault contract.
-            Err(other) => return Err(other),
-        };
         let labels = data.labels();
         let mut run = RunRecord::new(n);
         let all: Vec<usize> = (0..n).collect();
         let flagged = run.push_stage(labels, &all, &bnn_preds, |i| kept[i]);
-        // Reconcile: flagged images with a successful host prediction
-        // are reruns; everything else flagged degrades to its BNN
-        // prediction. The host stage still accepts every image that
-        // entered it, so traffic counts gate decisions only.
-        let mut delivered: Vec<Option<Result<usize, FaultKind>>> = vec![None; n];
-        for (i, outcome) in outcomes {
-            delivered[i] = Some(outcome);
-        }
-        let mut host_stage_preds = Vec::with_capacity(flagged.len());
-        for &i in &flagged {
-            host_stage_preds.push(match delivered[i] {
-                Some(Ok(p)) => {
-                    run.reruns.push(i);
-                    p
-                }
-                Some(Err(_)) => {
-                    stats.degraded_count += 1;
-                    bnn_preds[i]
-                }
-                None => {
-                    stats.degraded_count += 1;
-                    stats.fault_log.push(FaultEvent::Fallback {
-                        image: i,
-                        kind: FaultKind::HostWorkerDeath,
-                    });
-                    bnn_preds[i]
-                }
-            });
-        }
-        run.push_stage(labels, &flagged, &host_stage_preds, |_| true);
+        let host_preds = settle_host_stage(&mut run, &flagged, reran, &mut replay)?;
+        run.push_stage(labels, &flagged, &host_preds, |_| true);
+        let stats = DegradationStats {
+            backpressure_events,
+            ..replay.into_stats()
+        };
         let wall = start.elapsed().as_secs_f64();
         Ok(run.into_result(data, policy, opts, Some(wall), stats))
     }
@@ -617,7 +586,8 @@ impl<'a> MultiPrecisionPipeline<'a> {
 struct RunRecord {
     /// Stage-0 prediction per image.
     first_preds: Vec<usize>,
-    /// Final prediction per image.
+    /// Latest prediction per image: that of the last stage it entered,
+    /// which is the stage that accepted it once the run is complete.
     predictions: Vec<usize>,
     /// Images whose final prediction came from the host, in stage order.
     reruns: Vec<usize>,
@@ -671,11 +641,11 @@ impl RunRecord {
             if first {
                 self.first_preds[i] = pred;
             }
+            self.predictions[i] = pred;
             let correct = usize::from(pred == labels[i]);
             stage.correct += correct;
             if accept(j) {
                 stage.accepted += 1;
-                self.predictions[i] = pred;
             } else {
                 stage.escalated_correct += correct;
                 escalated.push(i);
@@ -787,188 +757,82 @@ impl RunRecord {
     }
 }
 
-/// What the host worker thread hands back at join time.
-#[derive(Debug, Default)]
-struct HostWorkerOutput {
-    /// Per flagged image (in arrival order): the host prediction, or the
-    /// fault that exhausted the degradation policy.
-    outcomes: Vec<(usize, Result<usize, FaultKind>)>,
-    log: Vec<FaultEvent>,
-    retries: usize,
-    attempts: usize,
-    breaker_trips: usize,
-    virtual_backoff_s: f64,
-}
+/// `(image, host prediction)` for every flagged image the host
+/// re-inferred, in arrival order.
+type Reran = Vec<(usize, usize)>;
 
-/// Images accumulated by the host worker before a batched flush (and the
-/// chunk size of [`infer_host_subset`], so both executors build identical
-/// batches).
+/// Images per host batch of [`rerun_flagged`] and chunk size of
+/// [`infer_host_subset`].
 const HOST_BATCH: usize = 32;
 
-/// The host worker: drains the channel, applying fault injection, the
-/// retry/backoff budget, the per-image deadline, and the circuit
-/// breaker. Injected worker death panics (deliberately — the producer
-/// side must survive a genuinely dead thread, not a polite error).
-///
-/// Fault decisions depend only on arrival order, `(image, attempt)` and
-/// breaker state — never on inference results — so images that survive
-/// the policy are *deferred* into a pending batch and re-inferred through
-/// the data-parallel engine. The fault log stays byte-identical to the
-/// per-image path for every `par` setting; each prediction is
+/// The host path of both executors: feeds the `flagged` images, in
+/// arrival order, through the run's fault `replay` and re-infers the
+/// survivors on the host, [`HOST_BATCH`] at a time through the
+/// data-parallel engine. The replay never looks at inference results,
+/// so deferring the survivors into batches leaves the fault log
+/// byte-identical for every `par` setting, and each prediction is
 /// bit-identical because every layer treats batch rows independently.
-fn host_worker_loop(
+///
+/// A planned worker death comes back as [`CoreError::HostWorker`].
+fn rerun_flagged(
     host: &Network,
-    rx: channel::Receiver<(usize, Tensor)>,
-    injector: &FaultInjector,
-    policy: &DegradationPolicy,
+    data: &Dataset,
+    flagged: impl IntoIterator<Item = usize>,
+    replay: &mut HostReplay<'_>,
     par: Parallelism,
-    obs: Option<(&dyn Recorder, &AtomicUsize)>,
-) -> Result<HostWorkerOutput, CoreError> {
-    let rec = obs.map(|(r, _)| r);
-    let mut out = HostWorkerOutput::default();
-    let mut breaker = CircuitBreaker::new(policy);
-    // Outcome slots awaiting a prediction, and their images.
-    let mut pending_slots: Vec<usize> = Vec::new();
-    let mut pending_images: Vec<Tensor> = Vec::new();
-    for (processed, (index, image)) in rx.into_iter().enumerate() {
-        if let Some((_, depth)) = obs {
-            depth.fetch_sub(1, Ordering::Relaxed);
+    rec: &dyn Recorder,
+) -> Result<Reran, CoreError> {
+    let mut reran = Vec::new();
+    let mut pending = Vec::with_capacity(HOST_BATCH);
+    for image in flagged {
+        match replay.decide(image) {
+            Decision::Rerun => pending.push(image),
+            Decision::Fallback => {}
+            Decision::Die => return Err(CoreError::HostWorker(INJECTED_DEATH_MSG.into())),
         }
-        if injector.host_death_after() == Some(processed) {
-            std::panic::panic_any(INJECTED_DEATH_MSG);
-        }
-        if !breaker.should_attempt() {
-            out.outcomes.push((index, Err(FaultKind::BreakerOpen)));
-            out.log.push(FaultEvent::Fallback {
-                image: index,
-                kind: FaultKind::BreakerOpen,
-            });
-            continue;
-        }
-        let mut attempt: u32 = 0;
-        let mut backoff_spent = 0.0f64;
-        let survived = loop {
-            out.attempts += 1;
-            let fault = match injector.host_fault(index, attempt) {
-                Some(HostFault::Transient) => Some(FaultKind::HostTransient),
-                Some(HostFault::Spike { latency_s }) if latency_s > policy.host_deadline_s => {
-                    Some(FaultKind::HostTimeout)
-                }
-                // A spike under the deadline completes normally.
-                Some(HostFault::Spike { .. }) | None => None,
-            };
-            match fault {
-                None => {
-                    if attempt > 0 {
-                        out.log.push(FaultEvent::Recovered {
-                            image: index,
-                            retries: attempt,
-                        });
-                    }
-                    if breaker.record_success() {
-                        out.log.push(FaultEvent::BreakerClosed { image: index });
-                    }
-                    break None;
-                }
-                Some(kind) => {
-                    out.log.push(FaultEvent::HostFault {
-                        image: index,
-                        attempt,
-                        kind,
-                    });
-                    let next_backoff = policy.backoff_base_s * f64::from(1u32 << attempt.min(20));
-                    if attempt < policy.max_retries
-                        && backoff_spent + next_backoff <= policy.backoff_budget_s
-                    {
-                        backoff_spent += next_backoff;
-                        out.retries += 1;
-                        attempt += 1;
-                        continue;
-                    }
-                    if breaker.record_failure() {
-                        out.log.push(FaultEvent::BreakerOpened {
-                            image: index,
-                            consecutive_failures: breaker.consecutive_failures(),
-                        });
-                    }
-                    out.log.push(FaultEvent::Fallback { image: index, kind });
-                    break Some(kind);
-                }
-            }
-        };
-        out.virtual_backoff_s += backoff_spent;
-        if backoff_spent > 0.0 {
-            if let Some(rec) = rec {
-                rec.observe(schema::HIST_BACKOFF_S, backoff_spent);
-            }
-        }
-        match survived {
-            None => {
-                pending_slots.push(out.outcomes.len());
-                // Placeholder prediction, overwritten by the next flush.
-                out.outcomes.push((index, Ok(usize::MAX)));
-                if pending_images.len() + 1 >= HOST_BATCH {
-                    pending_images.push(image);
-                    flush_pending(
-                        host,
-                        &mut pending_slots,
-                        &mut pending_images,
-                        &mut out.outcomes,
-                        par,
-                        rec,
-                    )?;
-                } else {
-                    pending_images.push(image);
-                }
-            }
-            Some(kind) => out.outcomes.push((index, Err(kind))),
+        if pending.len() == HOST_BATCH {
+            let preds = infer_host_subset(host, data, &pending, par, rec)?;
+            reran.extend(pending.drain(..).zip(preds));
         }
     }
-    flush_pending(
-        host,
-        &mut pending_slots,
-        &mut pending_images,
-        &mut out.outcomes,
-        par,
-        rec,
-    )?;
-    out.breaker_trips = breaker.trips();
-    Ok(out)
+    let preds = infer_host_subset(host, data, &pending, par, rec)?;
+    reran.extend(pending.into_iter().zip(preds));
+    Ok(reran)
 }
 
-/// Re-infers the worker's pending images as one sharded batch and writes
-/// each prediction into its reserved outcome slot.
-fn flush_pending(
-    host: &Network,
-    slots: &mut Vec<usize>,
-    images: &mut Vec<Tensor>,
-    outcomes: &mut [(usize, Result<usize, FaultKind>)],
-    par: Parallelism,
-    rec: Option<&dyn Recorder>,
-) -> Result<(), CoreError> {
-    if images.is_empty() {
-        return Ok(());
+/// Settles the host stage: each image that `entered` it takes its host
+/// prediction from `reran`, or else keeps the prediction of the stage
+/// that escalated it. A dead worker degrades every entering image; real
+/// host errors are returned. Returns the stage's predictions, one per
+/// entering image.
+fn settle_host_stage(
+    run: &mut RunRecord,
+    entered: &[usize],
+    reran: Result<Reran, CoreError>,
+    replay: &mut HostReplay<'_>,
+) -> Result<Vec<usize>, CoreError> {
+    let reran = match reran {
+        Ok(reran) => reran,
+        Err(CoreError::HostWorker(detail)) => {
+            replay.worker_died(detail, entered);
+            Vec::new()
+        }
+        Err(other) => return Err(other),
+    };
+    let mut host_preds = vec![None; run.predictions.len()];
+    for (i, pred) in reran {
+        host_preds[i] = Some(pred);
     }
-    let batch = Tensor::stack_batch(images)?;
-    let t0 = rec.map(|_| now_ns());
-    let scores = host
-        .infer_batch_obs(&batch, par, rec.unwrap_or(&mp_obs::NULL_RECORDER))
-        .map_err(CoreError::host)?;
-    if let (Some(rec), Some(start)) = (rec, t0) {
-        let end = now_ns();
-        rec.record_span(schema::SPAN_PIPELINE_HOST_RERUN, start, end);
-        rec.observe(
-            schema::HIST_HOST_BATCH_S,
-            end.saturating_sub(start) as f64 * 1e-9,
-        );
-    }
-    let preds = Network::argmax_rows(&scores)?;
-    for (&slot, pred) in slots.iter().zip(preds) {
-        outcomes[slot].1 = Ok(pred);
-    }
-    slots.clear();
-    images.clear();
-    Ok(())
+    Ok(entered
+        .iter()
+        .map(|&i| match host_preds[i] {
+            Some(pred) => {
+                run.reruns.push(i);
+                pred
+            }
+            None => run.predictions[i],
+        })
+        .collect())
 }
 
 /// Writes a finished run's outcome counters and typed event log into
@@ -1135,20 +999,16 @@ fn infer_host_subset(
     Ok(preds)
 }
 
-/// Convenience: the per-image shape a dataset's host network expects.
-pub fn host_input_shape(data: &Dataset) -> Shape {
-    data.image_shape()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{silence_injected_panics, FaultPlan};
+    use crate::fault::{silence_injected_panics, DegradationPolicy, FaultKind, FaultPlan};
     use mp_bnn::{BnnClassifier, FinnTopology};
     use mp_int::{CostLut, QuantBnn};
     use mp_nn::train::Model;
     use mp_nn::Mode;
     use mp_tensor::init::TensorRng;
+    use mp_tensor::Shape;
 
     fn tiny_system() -> (HardwareBnn, Dmu, Dataset, Network) {
         let (_, hw, dmu, data, host) = tiny_system_full();
@@ -1191,7 +1051,7 @@ mod tests {
     }
 
     fn chaos_opts(plan: &FaultPlan, policy: &DegradationPolicy) -> RunOptions<'static> {
-        modeled_opts()
+        threaded_opts()
             .with_faults(plan.clone())
             .with_degradation(*policy)
     }
@@ -1599,14 +1459,43 @@ mod tests {
     }
 
     #[test]
-    fn modeled_with_faults_is_invalid_config() {
+    fn modeled_runs_fault_plans_like_threaded() {
+        silence_injected_panics();
         let (hw, dmu, data, host) = tiny_system();
-        let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.5);
-        let opts = modeled_opts()
-            .with_faults(FaultPlan::seeded(1).with_host_error_rate(0.5))
-            .modeled();
-        let err = pipeline.execute(&host, &data, &opts).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidConfig(_)));
+        let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.9);
+        let policy = DegradationPolicy {
+            breaker_threshold: 2,
+            breaker_probe_every: 3,
+            ..DegradationPolicy::default()
+        };
+        let faulted = FaultPlan::seeded(8)
+            .with_host_error_rate(0.5)
+            .with_host_spikes(0.2, 2.0);
+        for plan in [faulted.clone(), faulted.with_host_death_after(5)] {
+            let threaded = pipeline
+                .execute(&host, &data, &chaos_opts(&plan, &policy))
+                .unwrap();
+            let mut modeled = pipeline
+                .execute(&host, &data, &chaos_opts(&plan, &policy).modeled())
+                .unwrap();
+            assert!(modeled.wall_seconds.is_none());
+            assert_eq!(modeled.backpressure_events, 0);
+            modeled.wall_seconds = threaded.wall_seconds;
+            modeled.backpressure_events = threaded.backpressure_events;
+            assert_eq!(modeled, threaded, "{plan:?}");
+            assert!(!modeled.fault_log.is_empty());
+        }
+        // An invalid degradation policy is rejected by both executors.
+        let bad = DegradationPolicy {
+            breaker_threshold: 0,
+            ..DegradationPolicy::default()
+        };
+        for opts in [modeled_opts(), threaded_opts()] {
+            let err = pipeline
+                .execute(&host, &data, &opts.with_degradation(bad))
+                .unwrap_err();
+            assert!(matches!(err, CoreError::InvalidConfig(_)), "{err:?}");
+        }
     }
 
     #[test]
@@ -1790,6 +1679,67 @@ mod tests {
             let err = pipeline.execute(&host, &data, &opts).unwrap_err();
             assert!(matches!(err, CoreError::InvalidConfig(_)), "{err:?}");
         }
+    }
+
+    #[test]
+    fn modeled_faults_degrade_only_host_entrants_to_the_quantized_prediction() {
+        let (bnn, hw, dmu, data, host) = tiny_system_full();
+        let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.5);
+        let policy = three_stage_policy(&bnn, 0.9, 0.9);
+        let opts = modeled_opts().with_cascade(policy.clone());
+        let clean = pipeline.execute(&host, &data, &opts).unwrap();
+        assert!(
+            clean.stage_traffic[2].entered > 0,
+            "some image must reach the host"
+        );
+        // Every host attempt fails: each host entrant falls back.
+        let plan = FaultPlan::seeded(3).with_host_error_rate(1.0);
+        let faulty = pipeline
+            .execute(&host, &data, &opts.clone().with_faults(plan))
+            .unwrap();
+        assert_eq!(faulty.stage_traffic, clean.stage_traffic);
+        assert_eq!(faulty.degraded_count, clean.stage_traffic[2].entered);
+        assert_eq!(faulty.rerun_count, 0);
+        // The images that entered the host stage, and the quantized
+        // stage's predictions for them.
+        let entered: Vec<usize> = (0..data.len()).filter(|&i| clean.flagged[i]).collect();
+        let stage1 = data.select(&entered).unwrap();
+        let quant = match &policy.stages()[1].classifier {
+            StageClassifier::Quantized(q) => q,
+            _ => unreachable!("stage 1 is quantized"),
+        };
+        let scores = quant
+            .infer_batch_obs(
+                stage1.images(),
+                Parallelism::sequential(),
+                &mp_obs::NULL_RECORDER,
+            )
+            .unwrap();
+        let quant_preds = Network::argmax_rows(&scores).unwrap();
+        let conf = dmu.predict_batch(&scores).unwrap();
+        let mut degraded = Vec::new();
+        for (j, &i) in entered.iter().enumerate() {
+            if gate_accepts(conf[j], 0.9) {
+                // Accepted by the quantized stage: untouched by faults.
+                assert_eq!(faulty.predictions[i], clean.predictions[i]);
+            } else {
+                assert_eq!(faulty.predictions[i], quant_preds[j], "image {i}");
+                degraded.push(i);
+            }
+        }
+        assert_eq!(degraded.len(), faulty.degraded_count);
+        for i in (0..data.len()).filter(|&i| !clean.flagged[i]) {
+            assert_eq!(faulty.predictions[i], clean.predictions[i]);
+        }
+        let fell_back: Vec<usize> = faulty
+            .fault_log
+            .iter()
+            .filter_map(|e| match e {
+                FaultEvent::Fallback { image, .. } => Some(*image),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fell_back, degraded);
     }
 
     #[test]

@@ -45,12 +45,14 @@ use crate::pipeline::PipelineTiming;
 pub enum Concurrency {
     /// Functional run of any cascade policy with **modelled** timing:
     /// the paper's `async(1)`/`wait(1)` batch overlap is replayed
-    /// arithmetically. Fault injection is not available in this mode.
+    /// arithmetically.
     #[default]
     Modeled,
     /// The FPGA simulator and the host network run on separate threads
-    /// connected by a bounded channel (Fig. 2's concurrent structure);
-    /// wall-clock time is reported and fault injection is available.
+    /// connected by a bounded channel (Fig. 2's concurrent structure),
+    /// and wall-clock time is reported. Runs the 2-stage, 1-bit policy
+    /// only; its result differs from [`Concurrency::Modeled`]'s only in
+    /// the wall clock and the backpressure count, fault plans included.
     Threaded,
 }
 
@@ -176,8 +178,8 @@ impl<'r> RunOptions<'r> {
     /// Installs an N-stage confidence cascade as this run's decision
     /// policy, overriding the pipeline's constructor threshold. The
     /// canonical 2-stage instance [`CascadePolicy::dmu`]`(t)` runs under
-    /// both executors (faults included); other shapes run under
-    /// [`Concurrency::Modeled`].
+    /// both executors; other shapes run under [`Concurrency::Modeled`].
+    /// A fault plan acts on whichever stage is the float host.
     #[must_use]
     pub fn with_cascade(mut self, cascade: CascadePolicy) -> Self {
         self.cascade = Some(cascade);
@@ -203,7 +205,8 @@ impl<'r> RunOptions<'r> {
     /// images and publishes each block's flagged subset to the host
     /// worker, which re-infers it while the BNN processes the next
     /// block. Predictions, flags, and fault accounting are bit-identical
-    /// to [`Concurrency::Modeled`].
+    /// to [`Concurrency::Modeled`]: the choice is purely one of
+    /// scheduling.
     #[must_use]
     pub fn threaded(mut self) -> Self {
         self.concurrency = Concurrency::Threaded;
@@ -217,13 +220,11 @@ impl<'r> RunOptions<'r> {
         self
     }
 
-    /// Injects `plan` into the run. Fault injection requires the
-    /// threaded executor, so this also selects
-    /// [`Concurrency::Threaded`].
+    /// Injects `plan` into the run's host stage, under either
+    /// executor; the selected [`Concurrency`] is left as it is.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.plan = plan;
-        self.concurrency = Concurrency::Threaded;
         self
     }
 
@@ -334,11 +335,14 @@ mod tests {
     }
 
     #[test]
-    fn with_faults_implies_threaded() {
-        let opts = RunOptions::new(PipelineTiming::new(1e-3, 1e-2, 10))
-            .with_faults(FaultPlan::seeded(1).with_host_error_rate(0.5));
+    fn with_faults_keeps_the_executor() {
+        let plan = FaultPlan::seeded(1).with_host_error_rate(0.5);
+        let opts = RunOptions::new(PipelineTiming::new(1e-3, 1e-2, 10)).with_faults(plan.clone());
+        assert_eq!(opts.concurrency(), Concurrency::Modeled);
+        assert_eq!(opts.fault_plan(), &plan);
+        let opts = opts.threaded().with_faults(FaultPlan::none());
         assert_eq!(opts.concurrency(), Concurrency::Threaded);
-        assert!(!opts.fault_plan().is_none());
+        assert!(opts.fault_plan().is_none());
     }
 
     #[test]

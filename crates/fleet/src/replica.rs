@@ -233,8 +233,9 @@ pub enum BreakerState {
 }
 
 /// The fleet's per-replica circuit breaker — unlike the per-image
-/// count-based [`mp_core::CircuitBreaker`] inside one pipeline, this
-/// one runs in *virtual time*: it opens on consecutive batch failures
+/// count-based breaker of a pipeline's
+/// [`DegradationPolicy`](mp_core::DegradationPolicy), this one runs in
+/// *virtual time*: it opens on consecutive batch failures
 /// (deadline misses), stays open for a cooldown, then admits a single
 /// half-open probe whose outcome closes or re-opens it.
 #[derive(Debug, Clone)]
@@ -266,8 +267,9 @@ impl FleetBreaker {
     }
 
     /// Times the breaker transitioned closed → open. A failed half-open
-    /// probe re-opens without counting a fresh open (mirrors
-    /// `CircuitBreaker::trips`).
+    /// probe re-opens without counting a fresh open (as a pipeline's
+    /// [`PipelineResult::breaker_trips`](mp_core::PipelineResult::breaker_trips)
+    /// does).
     pub fn opens(&self) -> usize {
         self.opens
     }

@@ -271,6 +271,7 @@ fn chaos_timing() -> PipelineTiming {
 fn chaos_opts(plan: FaultPlan, policy: DegradationPolicy) -> RunOptions<'static> {
     RunOptions::new(chaos_timing())
         .with_host_accuracy(0.5)
+        .threaded()
         .with_faults(plan)
         .with_degradation(policy)
 }
@@ -302,6 +303,7 @@ fn overlapped_executor_handles_empty_and_sub_block_datasets() {
                 &subset,
                 &RunOptions::new(chaos_timing())
                     .with_host_accuracy(0.5)
+                    .threaded()
                     .with_faults(FaultPlan::none())
                     .with_degradation(policy),
             )
@@ -426,7 +428,8 @@ proptest! {
     /// flags, rerun/degraded partition, stage traffic — for any
     /// threshold and block size (including blocks that do not divide n
     /// and blocks larger than n), and under faults it still degrades
-    /// only flagged images while keeping a deterministic fault log.
+    /// only flagged images while keeping a deterministic fault log that
+    /// Modeled reproduces field for field.
     ///
     /// Modeled itself must price every dmu-shaped run exactly like the
     /// paper's 2-stage model: on an empty set, a set smaller than one
@@ -463,6 +466,7 @@ proptest! {
                 data,
                 &RunOptions::new(timing)
                     .with_host_accuracy(0.5)
+                    .threaded()
                     .with_faults(FaultPlan::none())
                     .with_degradation(policy),
             )
@@ -488,6 +492,7 @@ proptest! {
         }
         let faulted_opts = || RunOptions::new(timing)
             .with_host_accuracy(0.5)
+            .threaded()
             .with_faults(plan.clone())
             .with_degradation(policy);
         let host = chaos_host();
@@ -511,6 +516,18 @@ proptest! {
             serde_json::to_string(&again.fault_log).unwrap(),
             serde_json::to_string(&faulty.fault_log).unwrap()
         );
+        // The same plan under Modeled: the host stage replays it in the
+        // same arrival order, so the whole result, worker death
+        // included, equals the Threaded one but for the wall clock and
+        // the backpressure count.
+        let host = chaos_host();
+        let mut faulty_modeled = pipeline
+            .execute(&host, data, &faulted_opts().modeled())
+            .unwrap();
+        prop_assert!(faulty_modeled.wall_seconds.is_none());
+        faulty_modeled.wall_seconds = faulty.wall_seconds;
+        faulty_modeled.backpressure_events = faulty.backpressure_events;
+        prop_assert_eq!(&faulty_modeled, &faulty);
         // The Modeled executor against the paper's 2-stage formulas.
         let n = match size_pick {
             0 => 0,
